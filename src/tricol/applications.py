@@ -2,10 +2,11 @@
 
 Stationary distributions come from row 0 of the inverse of B = Q - delta'
 delta, which only needs the gamma ratios (O(n) after the normalization).
-Absorbing birth-and-death chains use the closed-form fill with a zero first
-row of the inverse.  Discounted value functions treat the discount as an
-exit rate to a prepended absorbing state when Q is a birth-and-death chain,
-and a tridiagonal-plus-rank-one solve when Q carries a dense column.
+Absorbing birth-and-death chains use the closed-form generators with a zero
+first row of the inverse.  Discounted value functions take one route for
+every generator: two O(n) tridiagonal solves joined by the rank-one identity
+for Q's column 0, whose rank-one term is exactly zero for birth-and-death
+chains.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import (
     ZeroScalarA,
 )
 from .general import InverseView, gamma_table, invert as general_invert
-from .homogeneous import hom_block, hom_constants, view_from_block
-from .model import BandSpec, HomogeneousSpec, StructuredMatrix, validate
+from .homogeneous import _hom_generators, hom_constants
+from .model import BandSpec, HomogeneousSpec, StructuredMatrix, _check_nonnegative, validate
 
 LEVEL0 = 64
 MAX_LEVEL = 1 << 20
@@ -138,20 +139,17 @@ def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol) -> StationaryResult:
     qd, qu, qz = (np.asarray(Q.down, dtype=float), np.asarray(Q.up, dtype=float),
                   np.asarray(Q.tozero, dtype=float)) if Q.is_finite else Q.rates(n - 1)
     qw = qd + qu + qz
-    worst = 0.0
     # column 0 of pi Q
     col0 = -(qd[0] + qu[0]) * pi[0]
     if n > 1:
         col0 += (qd[1] + qz[1]) * pi[1] + float(np.dot(qz[2:n], pi[2:n]))
-    if Q.is_finite:
-        worst = abs(col0)
-    # columns j >= 1: qu[j-1] pi[j-1] - qw[j] pi[j] + qd[j+1] pi[j+1]
+    worst = abs(col0) if Q.is_finite else 0.0
+    # columns j = 1..hi-1: qu[j-1] pi[j-1] - qw[j] pi[j] + qd[j+1] pi[j+1]
     hi = n if Q.is_finite else n - 1
-    for j in range(1, hi):
-        v = qu[j - 1] * pi[j - 1] - qw[j] * pi[j]
-        if j + 1 < n:
-            v += qd[j + 1] * pi[j + 1]
-        worst = max(worst, abs(v))
+    v = qu[: hi - 1] * pi[: hi - 1] - qw[1:hi] * pi[1:hi]
+    k = min(hi, n - 1) - 1          # columns whose j + 1 is in range
+    v[:k] += qd[2: k + 2] * pi[2: k + 2]
+    worst = float(np.max(np.abs(v), initial=worst))
     return StationaryResult(pi=pi, residual=worst, truncation_level=level)
 
 
@@ -212,23 +210,19 @@ def absorbing_bd_invert(bd: float, bu: float, bz: float,
                         tol: float = 1e-12) -> InverseView:
     """Inverse of the absorbing birth-and-death matrix (leading n x n block).
 
-    The infinite chain uses the closed-form stages: constant column 0, zero
-    row 0 beyond column 0, the shape-specific c(1,1), then gamma powers
-    rightward and psi powers downward.  Finite truncations defer to the
+    The infinite chain uses the closed-form generators: constant column 0,
+    zero row 0 beyond column 0, the shape-specific c(1,1), then ratio gamma
+    rightward and psi downward.  Finite truncations defer to the
     general algorithm.
     """
     spec = absorbing_bd_spec(bd, bu, bz, last=last, shape=shape)
     m = validate(spec)
     if last is not None:
-        view = general_invert(m, n=min(n, last + 1), tol=tol)
-        return view
+        return general_invert(m, n=min(n, last + 1), tol=tol)
     hom = HomogeneousSpec(bd=bd, bu=bu, bz=bz)
-    consts = hom_constants(hom)
     c11 = absorbing_c11(bd, bu, bz, shape=shape)
-    C, ops = hom_block(hom, n, zero_row0=True, c11=c11)
-    view = view_from_block(m, C, tol)
-    view.report.entry_ops += ops
-    return view
+    return InverseView.from_generators(
+        m, tol, *_hom_generators(hom, n, zero_row0=True, c11=c11))
 
 
 def absorbing_c11(bd: float, bu: float, bz: float, shape: str = "absorbing") -> float:
@@ -249,11 +243,12 @@ def value_function(Q: BandSpec | np.ndarray, cost: Sequence[float],
                    discount: float, tol: float = 1e-12) -> ValueResult:
     """Solve alpha V = c + Q V, i.e. V = -(Q - alpha I)^{-1} c.
 
-    Birth-and-death generators gain a prepended absorbing state with exit
-    rate alpha, which puts Q - alpha I inside the invertible band+column
-    family; the value function reads off the inverse's transient block.
-    Generators with a dense column use the tridiagonal-plus-rank-one
-    identity with two tridiagonal solves instead.
+    Q - alpha I is a tridiagonal T plus the rank-one term u delta carrying
+    Q's out-of-band column-0 entries, so V costs two O(n) tridiagonal solves
+    and the Sherman-Morrison identity; for a birth-and-death chain u = 0 and
+    the rank-one term is exactly zero.  The solve is direct, so ``tol`` is
+    unused.  Rates must be finite and nonnegative (NonFiniteRate,
+    NegativeRate).
     """
     if isinstance(Q, np.ndarray):
         Q = generator_from_dense(Q)
@@ -269,23 +264,10 @@ def value_function(Q: BandSpec | np.ndarray, cost: Sequence[float],
     qd = np.asarray(Q.down, dtype=float)
     qu = np.asarray(Q.up, dtype=float)
     qz = np.asarray(Q.tozero, dtype=float)
-    tridiagonal = bool(np.all(qz[min(2, n):] == 0.0)) and (n < 2 or qz[1] == 0.0)
-    if tridiagonal:
-        V = _value_bd(qd, qu, c, discount, tol)
-    else:
-        V = _value_band_column(qd, qu, qz, c, discount)
+    _check_nonnegative(qd, qu, qz)  # a zero-rate absorbing state is legal here
+    V = _value_band_column(qd, qu, qz, c, discount)
     residual = _bellman_residual(qd, qu, qz, V, c, discount)
     return ValueResult(values=V, residual=residual)
-
-
-def _value_bd(qd, qu, c, alpha, tol) -> np.ndarray:
-    n = len(qd)
-    down = np.concatenate([[1.0], qd])
-    up = np.concatenate([[0.0], qu])
-    toz = np.concatenate([[0.0], np.full(n, alpha)])
-    m = validate(BandSpec.finite(down, up, toz))
-    C = general_invert(m, tol=tol).block()
-    return -(C[1:, 1:] @ c)
 
 
 def _value_band_column(qd, qu, qz, c, alpha) -> np.ndarray:
@@ -309,18 +291,8 @@ def _value_band_column(qd, qu, qz, c, alpha) -> np.ndarray:
 
 
 def _bellman_residual(qd, qu, qz, V, c, alpha) -> float:
-    n = len(V)
-    qw = qd + qu + qz
-    worst = 0.0
-    for i in range(n):
-        qv = -qw[i] * V[i]
-        if i == 0:
-            qv = -(qd[0] + qu[0]) * V[0]
-        else:
-            qv += qz[i] * V[0] + (qd[i] * V[i - 1] if i >= 2 else 0.0)
-            if i == 1:
-                qv += qd[1] * V[0]
-        if i + 1 < n:
-            qv += qu[i] * V[i + 1]
-        worst = max(worst, abs(alpha * V[i] - c[i] - qv))
-    return worst
+    qv = -(qd + qu + qz) * V
+    qv[0] = -(qd[0] + qu[0]) * V[0]
+    qv[1:] += qz[1:] * V[0] + qd[1:] * V[:-1]   # row 1's subdiagonal is column 0
+    qv[:-1] += qu[:-1] * V[1:]
+    return float(np.max(np.abs(alpha * V - c - qv)))

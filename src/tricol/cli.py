@@ -8,16 +8,9 @@ failure, 3 numerical failure.
 
 from __future__ import annotations
 
-import os
-
-# keep BLAS single-threaded for comparable benchmark timings; set before
-# numpy is first imported
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -118,7 +111,7 @@ def _cmd_element(args, fmt) -> int:
     m = _load_matrix(args.spec)
     view = general.InverseView(m, tol=args.tol)
     i, j = args.i, args.j
-    value = view.element(i, j)  # materializes stages only as needed
+    value = view.element(i, j)  # materializes the generators only as far as needed
     print(f"c({i},{j}) = {fmt(value)}")
     # residual of the defining equation sum_k B(i,k) c(k,j) = delta_ij
     cols = {0, max(0, i - 1), i}

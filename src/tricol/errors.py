@@ -22,6 +22,10 @@ class NegativeRate(ValidationError):
     """A rate entry is negative."""
 
 
+class NonFiniteRate(ValidationError):
+    """A rate entry is NaN or infinite."""
+
+
 class ZeroRowWeight(ValidationError):
     """A diagonal weight b^w_i vanishes for i >= 1."""
 

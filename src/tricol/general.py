@@ -1,13 +1,17 @@
 """Recursive inversion of band + first-column matrices (the general case).
 
-The inverse C of a validated matrix B is built in stages: column 0 is the
-constant -1/bd[0]; row 0 is geometric in a sequence of column ratios; then,
-alternating per index s, the under-diagonal part of column s and the
-over-diagonal part of row s.  Every stage evaluates the defining equations
-B C'_j = delta'_j and C_i B = delta_i with the boundary equation folded in,
-which keeps each entry an O(1) update while remaining stable in binary64
-(the textbook forward recursions excite a growing characteristic mode and
-lose all accuracy beyond a few dozen indices).
+The inverse C of a validated matrix B is stored by its generators, O(n)
+numbers that fix every entry: column 0 is the constant -1/bd[0]; row 0 is
+c(0,0) times a running product of over-diagonal ratios b_ov; the diagonal
+follows a first-order recursion; rightward of the diagonal every row runs by
+the same ratios b_ov, and below it column s obeys
+x_r = c(0,s)*a2[r] + b_un[r]*x_{r-1}.  So C is lower-quasiseparable of
+order 2 and upper-quasiseparable of order 1.  The coefficients come from one
+backward sweep that evaluates the defining equations B C'_j = delta'_j and
+C_i B = delta_i with the boundary equation folded in, which stays stable in
+binary64 (the textbook forward recursions excite a growing characteristic
+mode and lose all accuracy beyond a few dozen indices).  Dense blocks are
+exported from the generators by one vectorized routine.
 
 The affine coefficient pairs (rho_j, eta_j) of the row-0 system and the
 segment-anchor resolution used when some bd[i] = 0 are exposed verbatim;
@@ -418,13 +422,55 @@ class _Engine:
         self.coeff_ops = 4 * hi
 
 
-class InverseView:
-    """Lazily materialized block of the inverse.
+def _generators(engine: _Engine, c00: float, n: int):
+    """(gamma, row0, diag) over indices 0..n-1 from the engine's coefficients.
 
-    Storage follows the fill order: row 0 and the constant column 0 as
-    sequences, the interior as triangular arrays (columns downward from the
-    diagonal, rows rightward of it).  Materialization is single-writer;
-    readers are safe once a materialization call has returned.
+    gamma is the running product of ``b_ov``; the diagonal follows the
+    first-order recursion c(s,s) = c(0,s)*a2[s] - 1/d_un[s]
+    + b_un[s]*(b_ov[s]*c(s-1,s-1)), whose last factor is c(s-1, s).
+    """
+    gam = np.cumprod(np.r_[1.0, engine.b_ov[1:n]])
+    row0 = gam * c00
+    head = (row0[1:n] * engine.a2[1:n] - 1.0 / engine.d_un[1:n]).tolist()
+    diag = [c00]
+    for h, b_un, b_ov in zip(head, engine.b_un[1:n].tolist(), engine.b_ov[1:n].tolist()):
+        diag.append(h + b_un * (b_ov * diag[-1]))
+    return gam, row0, np.array(diag)
+
+
+def _export_block(row0, diag, b_ov, b_un, a2, n: int) -> np.ndarray:
+    """The dense n x n inverse block spanned by its generators.
+
+    Every dense inverse block is written here: column 0 is the constant
+    ``row0[0]``, row 0 is ``row0``, the diagonal is ``diag``; rightward of
+    the diagonal c(i, l) = b_ov[l]*c(i, l-1), below it c(r, s) =
+    row0[s]*a2[r] + b_un[r]*c(r-1, s).
+    """
+    out = np.empty((n, n))
+    out[:, 0] = row0[0]
+    out[0, :] = row0[:n]
+    for s in range(1, n):
+        # ((diag[s]*b_ov[s+1])*b_ov[s+2])...: the rounding order of element()
+        out[s, s] = diag[s]
+        out[s, s + 1:] = b_ov[s + 1:n]
+        np.multiply.accumulate(out[s, s:], out=out[s, s:])
+    for r in range(2, n):
+        np.multiply(out[r - 1, 1:r], b_un[r], out=out[r, 1:r])
+        out[r, 1:r] += row0[1:r] * a2[r]
+    return out
+
+
+class InverseView:
+    """Lazily materialized block of the inverse, stored by its generators.
+
+    The inverse is lower-quasiseparable of order 2 and upper-quasiseparable
+    of order 1, so O(n) numbers fix its leading n x n block: the constant
+    column 0 ``c00``, row 0 ``row0``, the diagonal ``diag`` and three
+    transition arrays.  Rightward of the diagonal c(i, l) = b_ov[l]*c(i, l-1);
+    below it c(r, s) = row0[s]*a2[r] + b_un[r]*c(r-1, s).  ``block`` exports
+    a dense copy, ``element`` walks the recurrence in O(|i - j|).
+    Materialization is single-writer; readers are safe once a
+    materialization call has returned.
     """
 
     def __init__(self, m: StructuredMatrix, tol: float = 1e-12):
@@ -433,13 +479,21 @@ class InverseView:
         self.matrix = m
         self.tol = tol
         self.c00 = first_column_value(m)
-        self.row0 = np.array([self.c00])
-        self.lower: list[np.ndarray] = []   # lower[s-1] = c(s..n-1, s)
-        self.upper: list[np.ndarray] = []   # upper[s-1] = c(s, s+1..n-1)
+        self.row0 = self.diag = np.array([self.c00])
+        self.b_ov = self.b_un = self.a2 = np.zeros(1)
         self.n = 0
         self.report = SolveReport(tol=tol)
         self._engine: Optional[_Engine] = None
         self._gamma: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_generators(cls, m: StructuredMatrix, tol: float, row0: np.ndarray,
+                        diag: np.ndarray, b_ov: np.ndarray, b_un: np.ndarray,
+                        a2: np.ndarray) -> "InverseView":
+        """A view over given generators, such as the homogeneous closed forms."""
+        view = cls(m, tol=tol)
+        view._store(row0 / view.c00, row0, diag, b_ov, b_un, a2)
+        return view
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -456,111 +510,55 @@ class InverseView:
     def materialize(self, n: int) -> "InverseView":
         if n <= self.n:
             return self
+        t0 = time.perf_counter()
         m = self.matrix
         if m.is_finite:
             if n > m.last + 1:
                 raise OutOfRange(f"block size {n} exceeds matrix size {m.last + 1}")
             if self._engine is None:
-                t0 = time.perf_counter()
                 self._engine = _Engine(m, m.last)
                 self.report.coeff_ops += self._engine.coeff_ops
-                self.report.seconds += time.perf_counter() - t0
-            self._fill(n)
-            return self
-        self._materialize_infinite(n)
+            self._generate(self._engine, n)
+        elif self._engine is not None and self._engine.hi >= max(LEVEL0, 2 * n):
+            self._generate(self._engine, n)
+        else:
+            self._generate(self._certified_engine(n), n)
+        self.report.seconds += time.perf_counter() - t0
         return self
 
-    def _materialize_infinite(self, n: int):
-        tol = self.tol
+    def _generate(self, engine: _Engine, n: int):
+        self._engine = engine
+        self._store(*_generators(engine, self.c00, n), engine.b_ov, engine.b_un, engine.a2)
+
+    def _store(self, gamma, row0, diag, b_ov, b_un, a2):
+        self._gamma, self.row0, self.diag = gamma, row0, diag
+        self.b_ov, self.b_un, self.a2 = b_ov, b_un, a2
+        self.n = len(diag)
+        self.report.entry_ops += 2 * self.n
+
+    def _certified_engine(self, n: int) -> _Engine:
+        """Engine at the first doubling level whose n x n block has settled."""
         level = max(LEVEL0, 2 * n, self.report.truncation_level or 0)
-        if self._engine is not None and self._engine.hi >= max(LEVEL0, 2 * n):
-            self._fill(n)
-            return
         prev_block = None
         while level <= MAX_LEVEL:
             engine = _Engine(self.matrix, level)
-            block = _block_with_engine(self.matrix, engine, n, self.report)
+            _, row0, diag = _generators(engine, self.c00, n)
+            block = _export_block(row0, diag, engine.b_ov, engine.b_un, engine.a2, n)
+            self.report.coeff_ops += engine.coeff_ops
+            self.report.entry_ops += 2 * n + n * n
             if prev_block is not None:
                 diff = float(np.max(np.abs(block - prev_block)))
-                if diff <= tol * max(1.0, float(np.max(np.abs(block)))):
-                    self._adopt(engine, block, n)
+                if diff <= self.tol * max(1.0, float(np.max(np.abs(block)))):
                     self.report.truncation_level = level
                     self.report.achieved = diff
-                    return
+                    return engine
             prev_block = block
             level *= 2
         raise NoConvergence(f"inverse block did not stabilize by level {MAX_LEVEL}")
 
-    def _adopt(self, engine: _Engine, block: np.ndarray, n: int):
-        # restate the certified block in triangular storage
-        self._engine = engine
-        self._gamma = block[0, :] / block[0, 0]
-        self.row0 = block[0, :].copy()
-        self.lower = [block[s:, s].copy() for s in range(1, n)]
-        self.upper = [block[s, s + 1:].copy() for s in range(1, n)]
-        self.n = n
-
-    def _fill(self, n: int):
-        """Extend triangular storage to an n x n block (stage order)."""
-        t0 = time.perf_counter()
-        eng = self._engine
-        old = self.n
-        if self._gamma is None or len(self._gamma) < n:
-            gam = np.ones(n)
-            for j in range(1, n):
-                gam[j] = gam[j - 1] * eng.b_ov[j]
-            self._gamma = gam
-            self.row0 = gam * self.c00
-            self.report.entry_ops += n
-        # extend existing stages
-        for s in range(1, old):
-            lo = self.lower[s - 1]
-            need = n - s
-            if len(lo) < need:
-                ext = np.empty(need)
-                ext[: len(lo)] = lo
-                x = lo[-1]
-                c0s = self.row0[s]
-                for r in range(s + len(lo), n):
-                    x = c0s * eng.a2[r] + eng.b_un[r] * x
-                    ext[r - s] = x
-                self.lower[s - 1] = ext
-                self.report.entry_ops += need - len(lo)
-            up = self.upper[s - 1]
-            need = n - s - 1
-            if len(up) < need:
-                ext = np.empty(need)
-                ext[: len(up)] = up
-                y = up[-1] if len(up) else self.lower[s - 1][0]
-                for l in range(s + 1 + len(up), n):
-                    y = eng.b_ov[l] * y
-                    ext[l - s - 1] = y
-                self.upper[s - 1] = ext
-                self.report.entry_ops += need - len(up)
-        # new stages
-        for s in range(max(1, old), n):
-            c0s = self.row0[s]
-            prev = self.upper[s - 2][0] if s >= 2 else self.row0[1]
-            lo = np.empty(n - s)
-            x = c0s * eng.a2[s] - 1.0 / eng.d_un[s] + eng.b_un[s] * prev
-            lo[0] = x
-            for r in range(s + 1, n):
-                x = c0s * eng.a2[r] + eng.b_un[r] * x
-                lo[r - s] = x
-            self.lower.append(lo)
-            up = np.empty(n - s - 1)
-            y = lo[0]
-            for l in range(s + 1, n):
-                y = eng.b_ov[l] * y
-                up[l - s - 1] = y
-            self.upper.append(up)
-            self.report.entry_ops += (n - s) + (n - s - 1)
-        self.n = max(self.n, n)
-        self.report.seconds += time.perf_counter() - t0
-
     # -- access -------------------------------------------------------------
     def element(self, i: int, j: int) -> float:
-        """c(i, j), materializing whole stages up to max(i, j) if needed."""
+        """c(i, j), materializing the generators up to max(i, j) if needed."""
         if i < 0 or j < 0:
             raise OutOfRange(f"negative index ({i}, {j})")
         m = self.matrix
@@ -573,45 +571,31 @@ class InverseView:
             self.materialize(need)
         if i == 0:
             return float(self.row0[j])
-        if i >= j:
-            return float(self.lower[j - 1][i - j])
-        return float(self.upper[i - 1][j - i - 1])
+        if i <= j:
+            y = self.diag[i]
+            for l in range(i + 1, j + 1):
+                y = y * self.b_ov[l]
+            return float(y)
+        x, c0j = self.diag[j], self.row0[j]
+        for r in range(j + 1, i + 1):
+            x = x * self.b_un[r] + c0j * self.a2[r]
+        return float(x)
 
     def block(self, n: Optional[int] = None) -> np.ndarray:
-        """Dense copy of the leading n x n materialized block."""
+        """Dense copy of the leading n x n block."""
         if n is None:
             n = self.n
         self.materialize(n)
-        out = np.empty((n, n))
-        out[:, 0] = self.c00
-        out[0, :] = self.row0[:n]
-        for s in range(1, n):
-            out[s:n, s] = self.lower[s - 1][: n - s]
-            out[s, s + 1:n] = self.upper[s - 1][: n - s - 1]
-        return out
-
-
-def _block_with_engine(m, engine, n, report) -> np.ndarray:
-    view = InverseView.__new__(InverseView)
-    view.matrix = m
-    view.tol = report.tol
-    view.c00 = first_column_value(m)
-    view.row0 = np.array([view.c00])
-    view.lower, view.upper = [], []
-    view.n = 0
-    view.report = report
-    view._engine = engine
-    view._gamma = None
-    view._fill(n)
-    return view.block(n)
+        return _export_block(self.row0, self.diag, self.b_ov, self.b_un, self.a2, n)
 
 
 def invert(m: StructuredMatrix, n: Optional[int] = None, tol: float = 1e-12) -> InverseView:
     """Materialize the leading n x n block of the inverse.
 
-    Finite matrices default to the full size.  The fill follows the stage
-    order column 0, row 0, then per index s the under-diagonal column part
-    and the over-diagonal row part.
+    Finite matrices default to the full size.  Materializing computes the
+    O(n) generators (row 0 and the diagonal) from one backward coefficient
+    sweep; a finite full-size inverse is also exported once to audit its
+    residual.
     """
     if n is None:
         if not m.is_finite:
@@ -623,6 +607,7 @@ def invert(m: StructuredMatrix, n: Optional[int] = None, tol: float = 1e-12) -> 
     view.materialize(n)
     if m.is_finite and n == m.last + 1:
         view.report.residual = block_residual(view)
+        view.report.entry_ops += n * n  # the audit's dense export
     return view
 
 
@@ -635,7 +620,9 @@ def block_residual(view: InverseView, n: Optional[int] = None) -> float:
     """max |(BC - I)[r, j]| over equations fully supported by the block.
 
     Rows 0..n-2 couple only in-block entries; the final row is included only
-    when the block covers a whole finite matrix.
+    when the block covers a whole finite matrix.  A NaN anywhere in the
+    product makes the residual NaN.  The product is formed in row chunks, so
+    the exported block is the only n x n array.
     """
     if n is None:
         n = view.n
@@ -643,12 +630,21 @@ def block_residual(view: InverseView, n: Optional[int] = None) -> float:
     C = view.block(n)
     full = m.is_finite and n == m.last + 1
     rows = n if full else n - 1
+    # B's entries by column: 0, r-1, r and r+1 (each distinct column once)
+    col0 = np.array([m.entry(r, 0) for r in range(rows)])
+    sub = np.array([m.entry(r, r - 1) if r >= 2 else 0.0 for r in range(rows)])
+    dia = np.array([m.entry(r, r) if r >= 1 else 0.0 for r in range(rows)])
+    sup = np.array([m.entry(r, r + 1) if r + 1 < n else 0.0 for r in range(rows)])
     worst = 0.0
-    for r in range(rows):
-        cols = {0, r, min(r + 1, n - 1)} | ({r - 1} if r >= 1 else set())
-        vals = np.zeros(n)
-        for k in cols:
-            vals += m.entry(r, k) * C[k, :]
-        vals[r] -= 1.0
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    step = max(1, (1 << 16) // n)  # rows per chunk: 512 KiB temporaries
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        prod = np.multiply.outer(col0[lo:hi], C[0])
+        prod += dia[lo:hi, None] * C[lo:hi]
+        a = max(lo, 1)
+        prod[a - lo:] += sub[a:hi, None] * C[a - 1:hi - 1]
+        b = min(hi, n - 1)
+        prod[:b - lo] += sup[lo:b, None] * C[lo + 1:b + 1]
+        prod[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+        worst = np.maximum(worst, np.max(np.abs(prod)))
+    return float(worst)

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateRates, OutOfRange, ValidationError, ZeroDiscriminant
-from .general import InverseView, block_residual, invert as general_invert
-from .model import HomogeneousSpec, StructuredMatrix, validate
+from .general import InverseView, _export_block, block_residual, invert as general_invert
+from .model import HomogeneousSpec, validate
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,16 @@ def diagonal_identity_gap(spec: HomogeneousSpec, n: int) -> float:
     return gap
 
 
-def hom_block(spec: HomogeneousSpec, n: int, zero_row0: bool = False,
-              c11: Optional[float] = None) -> tuple[np.ndarray, int]:
-    """Dense n x n block by the closed forms; returns (block, entry_ops).
+def _hom_generators(spec: HomogeneousSpec, n: int, zero_row0: bool = False,
+                    c11: Optional[float] = None):
+    """(row0, diag, b_ov, b_un, a2) of the closed forms over indices 0..n-1.
 
-    ``zero_row0`` replaces row 0 of the inverse by (c00, 0, 0, ...) and
-    ``c11`` seeds the diagonal recursion at index 1; both serve the
-    absorbing birth-and-death variants, whose first rows deviate from the
-    homogeneous pattern.
+    Row 0 is geometric in gamma, the diagonal follows its first-order
+    recursion, and the transition arrays are the constants b_ov = gamma,
+    b_un = psi and a2 = 1 - psi.  ``zero_row0`` replaces row 0 of the
+    inverse by (c00, 0, 0, ...) and ``c11`` seeds the diagonal recursion at
+    index 1; both serve the absorbing birth-and-death variants, whose first
+    rows deviate from the homogeneous pattern.
     """
     consts = hom_constants(spec)
     g, psi = consts.gamma, consts.psi
@@ -150,7 +152,6 @@ def hom_block(spec: HomogeneousSpec, n: int, zero_row0: bool = False,
     bw = spec.bw
     c00 = -1.0 / bd
     G = np.power(g, np.arange(n))
-    P = np.power(psi, np.arange(n))
     if zero_row0:
         row0 = np.zeros(n)
         row0[0] = c00
@@ -166,22 +167,26 @@ def hom_block(spec: HomogeneousSpec, n: int, zero_row0: bool = False,
     for i in range(start, n):
         r_prev = 0.0 if zero_row0 else G[i - 1] * c00
         diag[i] = (-1.0 + bu * ((1.0 - psi) * r_prev + psi * diag[i - 1])) / den
-    C = np.empty((n, n))
-    C[0, :] = row0
-    C[:, 0] = c00
-    ops = 2 * n
-    for i in range(1, n):
-        C[i, i:] = diag[i] * G[: n - i]
-        C[i:, i] = (diag[i] - row0[i]) * P[: n - i] + row0[i]
-        ops += 2 * (n - i) - 1
-    return C, ops
+    return row0, diag, np.full(n, g), np.full(n, psi), np.full(n, 1.0 - psi)
+
+
+def hom_block(spec: HomogeneousSpec, n: int, zero_row0: bool = False,
+              c11: Optional[float] = None) -> tuple[np.ndarray, int]:
+    """Dense n x n block by the closed forms; returns (block, entry_ops).
+
+    ``zero_row0`` and ``c11`` select the absorbing variants as in
+    ``_hom_generators``; entry_ops counts the generator entries and the
+    exported ones.
+    """
+    gens = _hom_generators(spec, n, zero_row0=zero_row0, c11=c11)
+    return _export_block(*gens, n), 2 * n + n * n
 
 
 def hom_finite_invert(spec: HomogeneousSpec, tol: float = 1e-12) -> InverseView:
     """Invert a finite homogeneous matrix.
 
-    Special truncation fills the whole inverse with the infinite-case
-    constants; generic truncation delegates to the general algorithm.
+    Special truncation stores the whole inverse by the infinite-case
+    generators; generic truncation delegates to the general algorithm.
     """
     if not spec.is_finite:
         raise ValidationError("finite extent required; use hom_invert for blocks")
@@ -189,12 +194,10 @@ def hom_finite_invert(spec: HomogeneousSpec, tol: float = 1e-12) -> InverseView:
     if spec.truncation == "generic":
         return general_invert(validate(spec.as_band()), tol=tol)
     t0 = time.perf_counter()
-    n = spec.last + 1
-    C, ops = hom_block(spec, n)
-    view = view_from_block(m, C, tol)
-    view.report.entry_ops += ops
+    view = InverseView.from_generators(m, tol, *_hom_generators(spec, spec.last + 1))
     view.report.seconds += time.perf_counter() - t0
     view.report.residual = block_residual(view)
+    view.report.entry_ops += view.n * view.n  # the audit's dense export
     return view
 
 
@@ -204,20 +207,6 @@ def hom_invert(spec: HomogeneousSpec, n: int, tol: float = 1e-12) -> InverseView
         return hom_finite_invert(spec, tol=tol)
     m = validate(spec)
     t0 = time.perf_counter()
-    C, ops = hom_block(spec, n)
-    view = view_from_block(m, C, tol)
-    view.report.entry_ops += ops
+    view = InverseView.from_generators(m, tol, *_hom_generators(spec, n))
     view.report.seconds += time.perf_counter() - t0
-    return view
-
-
-def view_from_block(m: StructuredMatrix, C: np.ndarray, tol: float) -> InverseView:
-    """Wrap a dense inverse block in triangular InverseView storage."""
-    view = InverseView(m, tol=tol)
-    n = C.shape[0]
-    view.row0 = C[0, :].copy()
-    view._gamma = C[0, :] / C[0, 0]
-    view.lower = [C[s:, s].copy() for s in range(1, n)]
-    view.upper = [C[s, s + 1:].copy() for s in range(1, n)]
-    view.n = n
     return view

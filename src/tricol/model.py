@@ -21,6 +21,7 @@ from .errors import (
     BadFinalRow,
     InfiniteExtent,
     NegativeRate,
+    NonFiniteRate,
     NonPositiveB0d,
     OutOfRange,
     ValidationError,
@@ -267,10 +268,10 @@ class StructuredMatrix:
 def validate(spec) -> StructuredMatrix:
     """Check the structural conditions and return an entry-addressable matrix.
 
-    Raises NonPositiveB0d, NegativeRate, ZeroRowWeight or BadFinalRow.  For
-    infinite extent a deterministic probe of the leading indices is checked
-    here and the same conditions are re-checked lazily whenever more of the
-    sequence is realized.
+    Raises NonPositiveB0d, NonFiniteRate, NegativeRate, ZeroRowWeight or
+    BadFinalRow.  For infinite extent a deterministic probe of the leading
+    indices is checked here and the same conditions are re-checked lazily
+    whenever more of the sequence is realized.
     """
     if isinstance(spec, HomogeneousSpec):
         _check_triple(spec.bd, spec.bu, spec.bz, index=1)
@@ -295,15 +296,7 @@ def validate(spec) -> StructuredMatrix:
     bd, bu, bz = spec.rates(probe_hi)
     if bd[0] <= 0:
         raise NonPositiveB0d(f"bd[0] = {bd[0]} must be > 0")
-    for name, arr in (("bd", bd), ("bu", bu), ("bz", bz)):
-        bad = np.where(arr < 0)[0]
-        if bad.size:
-            raise NegativeRate(f"{name}[{bad[0]}] = {arr[bad[0]]} is negative")
-    bw = bd + bu + bz
-    zero = np.where(bw[1:] <= 0)[0]
-    if zero.size:
-        i = int(zero[0]) + 1
-        raise ZeroRowWeight(f"bw[{i}] = {bw[i]} must be > 0")
+    _check_rates(bd, bu, bz, 0)
     if spec.is_finite:
         tail = bu[spec.last]
         if tail != 0.0:
@@ -316,18 +309,30 @@ def validate(spec) -> StructuredMatrix:
 
 def check_window(m: StructuredMatrix, lo: int, hi: int) -> None:
     """Re-check rate conditions on indices [lo, hi] of an infinite spec."""
-    bd, bu, bz = m.band_rates(hi)
-    seg = slice(lo, hi + 1)
-    for name, arr in (("bd", bd), ("bu", bu), ("bz", bz)):
-        bad = np.where(arr[seg] < 0)[0]
-        if bad.size:
-            i = int(bad[0]) + lo
-            raise NegativeRate(f"{name}[{i}] is negative")
+    _check_rates(*m.band_rates(hi), lo)
+
+
+def _check_rates(bd, bu, bz, lo: int) -> None:
+    """Rates from index lo on must be finite and nonnegative, row weights positive."""
+    _check_nonnegative(bd, bu, bz, lo)
     bw = bd + bu + bz
-    bad = np.where(bw[max(lo, 1):hi + 1] <= 0)[0]
+    bad = np.where(bw[max(lo, 1):] <= 0)[0]
     if bad.size:
         i = int(bad[0]) + max(lo, 1)
         raise ZeroRowWeight(f"bw[{i}] = {bw[i]} must be > 0")
+
+
+def _check_nonnegative(bd, bu, bz, lo: int = 0) -> None:
+    """Rates from index lo on must be finite and nonnegative (no row-weight rule)."""
+    for name, arr in (("bd", bd), ("bu", bu), ("bz", bz)):
+        bad = np.where(~np.isfinite(arr[lo:]))[0]
+        if bad.size:
+            i = int(bad[0]) + lo
+            raise NonFiniteRate(f"{name}[{i}] = {arr[i]} is not finite")
+        bad = np.where(arr[lo:] < 0)[0]
+        if bad.size:
+            i = int(bad[0]) + lo
+            raise NegativeRate(f"{name}[{i}] = {arr[i]} is negative")
 
 
 def decompose(m: StructuredMatrix):
@@ -355,6 +360,8 @@ def decompose(m: StructuredMatrix):
 
 def _check_triple(bd, bu, bz, index):
     for name, v in (("bd", bd), ("bu", bu), ("bz", bz)):
+        if not np.isfinite(v):
+            raise NonFiniteRate(f"{name} = {v} is not finite")
         if v < 0:
             raise NegativeRate(f"{name} = {v} is negative")
     if bz + bd + bu <= 0:

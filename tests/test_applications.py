@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 
 from tricol.applications import (
+    _bellman_residual,
+    _normalize_pi,
     absorbing_bd_invert,
     absorbing_bd_spec,
     absorbing_c11,
@@ -190,3 +192,45 @@ class TestGeneratorFromDense:
         Qd = dense_generator(Q)
         back = generator_from_dense(Qd)
         assert np.array_equal(dense_generator(back), Qd)
+
+
+class TestResidualsPropagateNaN:
+    def test_stationary_residual(self, rng):
+        Q = random_generator(rng, 8)
+        gam = steady_state(Q).pi
+        qd = Q.down.copy()
+        qd[4] = np.nan
+        res = _normalize_pi(BandSpec.finite(qd, Q.up, Q.tozero), gam, None, 1e-12)
+        assert np.isnan(res.residual)
+
+    def test_bellman_residual(self, rng):
+        Q = random_generator(rng, 8)
+        c = rng.uniform(0.0, 1.0, 8)
+        V = value_function(Q, c, 0.2).values
+        V[3] = np.nan
+        assert np.isnan(_bellman_residual(Q.down, Q.up, Q.tozero, V, c, 0.2))
+
+
+class TestValueFunctionRejectsBadRates:
+    @pytest.mark.parametrize("band_only", [True, False])
+    @pytest.mark.parametrize("which", ["down", "up", "tozero"])
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_bad_rate_raises(self, rng, band_only, which, bad):
+        Q = random_generator(rng, 10, band_only=band_only)
+        rates = {k: np.array(getattr(Q, k), dtype=float) for k in ("down", "up", "tozero")}
+        rates[which][4] = bad
+        bad_q = BandSpec.finite(rates["down"], rates["up"], rates["tozero"])
+        with pytest.raises(ValidationError):
+            value_function(bad_q, np.ones(10), 0.3)
+
+    def test_negative_rate_from_dense(self, rng):
+        Qd = dense_generator(random_generator(rng, 6, band_only=True))
+        Qd[2, 3] = -0.5
+        Qd[2, 2] = -Qd[2].sum() + Qd[2, 2]
+        with pytest.raises(ValidationError):
+            value_function(Qd, np.ones(6), 0.3)
+
+    def test_zero_rate_absorbing_state_allowed(self):
+        Q = BandSpec.finite([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        res = value_function(Q, [1.0, 1.0], 0.5)
+        assert np.allclose(res.values, [2.0, 2.0])

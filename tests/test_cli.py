@@ -105,6 +105,11 @@ class TestValueFunctionCommand:
         assert main(["value-function", write(tmp_path, TWO_STATE_Q),
                      "--discount", "0.5"]) == 2
 
+    def test_negative_rate_exits_2(self, tmp_path, capsys):
+        doc = dict(TWO_STATE_Q, bd=[0, -2], cost=[1.0, 0.0], discount=0.5)
+        assert main(["value-function", write(tmp_path, doc)]) == 2
+        assert "negative" in capsys.readouterr().err
+
 
 class TestAbsorbingCommand:
     def test_block_and_closed_form(self, capsys):

@@ -219,6 +219,25 @@ class TestStageCount:
         assert view.report.entry_ops <= 3 * n * n
 
 
+class TestGeneratorStorage:
+    def test_view_arrays_are_linear_in_n(self, rng):
+        n = 2048
+        view = invert(validate(random_spec(rng, n)), n=n)
+        total = 0
+        for obj in (view, view._engine):
+            for value in vars(obj).values():
+                items = value if isinstance(value, list) else [value]
+                total += sum(a.nbytes for a in items if isinstance(a, np.ndarray))
+        assert total < 64 * n * 8
+
+    def test_nan_in_block_gives_nan_residual(self, rng):
+        view = invert(validate(random_spec(rng, 12)))
+        C = view.block()
+        C[5, 7] = np.nan
+        view.block = lambda n=None: C
+        assert np.isnan(block_residual(view))
+
+
 class TestInfiniteExtent:
     def test_head_tail_against_large_truncation(self, rng):
         head_n = 5

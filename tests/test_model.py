@@ -10,6 +10,8 @@ from tricol.errors import (
     ValidationError,
     ZeroRowWeight,
 )
+from tricol.general import invert
+from tricol.homogeneous import hom_invert
 from tricol.model import (
     BandSpec,
     HomogeneousSpec,
@@ -51,6 +53,29 @@ class TestValidate:
     def test_infinite_probe(self):
         m = validate(BandSpec.infinite(lambda i: 1.0, lambda i: 0.5, lambda i: 0.1))
         assert not m.is_finite
+
+
+class TestNonFiniteRates:
+    RATES = {"bd": 1.0, "bu": 0.6, "bz": 0.3}
+
+    @pytest.mark.parametrize("kind", ["finite", "infinite", "homogeneous"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("rate", ["bd", "bu", "bz"])
+    def test_rejected(self, rate, value, kind):
+        rates = self.RATES
+        with pytest.raises(ValidationError):
+            if kind == "homogeneous":
+                hom_invert(HomogeneousSpec(**{**rates, rate: value}), n=8)
+            elif kind == "finite":
+                arrays = {k: np.full(6, v) for k, v in rates.items()}
+                arrays["bu"][-1] = 0.0
+                arrays[rate][3] = value
+                invert(validate(BandSpec.finite(arrays["bd"], arrays["bu"], arrays["bz"])))
+            else:
+                # index 100 lies beyond validate()'s probe: the realized window catches it
+                rules = {k: (lambda i, v=v: v) for k, v in rates.items()}
+                rules[rate] = lambda i: value if i == 100 else rates[rate]
+                invert(validate(BandSpec.infinite(rules["bd"], rules["bu"], rules["bz"])), n=8)
 
 
 class TestEntry:
