@@ -1,4 +1,8 @@
-"""Small tridiagonal solve kernel shared by spectral and applications."""
+"""Small tridiagonal solve kernel for spectral inverse iteration.
+
+Its one caller is ``spectral``, which relies on the zero-pivot nudge to
+iterate against (near-)singular shifts; value functions use LAPACK ``gtsv``.
+"""
 
 from __future__ import annotations
 

@@ -1,12 +1,12 @@
 """Markov-chain solvers built on the structured inversion.
 
 Stationary distributions come from row 0 of the inverse of B = Q - delta'
-delta, which only needs the gamma ratios (O(n) after the normalization).
-Absorbing birth-and-death chains use the closed-form generators with a zero
-first row of the inverse.  Discounted value functions take one route for
-every generator: two O(n) tridiagonal solves joined by the rank-one identity
-for Q's column 0, whose rank-one term is exactly zero for birth-and-death
-chains.
+delta, which only needs the gamma ratios: one O(n) backward ratio sweep,
+then a normalization.  Absorbing birth-and-death chains use the closed-form
+generators with a zero first row of the inverse.  Discounted value functions
+take one route for every generator: one LAPACK ``gtsv`` call with two
+right-hand sides, joined by the rank-one identity for Q's column 0, whose
+rank-one term is exactly zero for birth-and-death chains.
 """
 
 from __future__ import annotations
@@ -16,21 +16,27 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
-from ._tridiag import tridiag_solve_pivot
+from . import general
 from .errors import (
     InfiniteExtent,
     NotNormalizable,
     ShapeMismatch,
+    SingularMatrix,
     ValidationError,
     ZeroScalarA,
 )
-from .general import InverseView, gamma_table, invert as general_invert
+from .general import (
+    InverseView,
+    _bu_horizon,
+    _gamma_stable_finite,
+    _gamma_stable_infinite,
+    _window,
+    invert as general_invert,
+)
 from .homogeneous import _hom_generators, hom_constants
 from .model import BandSpec, HomogeneousSpec, StructuredMatrix, _check_nonnegative, validate
-
-LEVEL0 = 64
-MAX_LEVEL = 1 << 20
 
 
 @dataclass
@@ -113,12 +119,13 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
     Q = _check_generator(Q)
     m = _shifted_matrix(Q)
     if m.is_finite:
-        gam = gamma_table(m, m.last, tol=tol).gamma
+        bd, bu, bz, bw = _window(m, m.last)
+        gam = _gamma_stable_finite(bd, bu, bz, bw, m.last, _bu_horizon(bu, m.last))
         return _normalize_pi(Q, gam, None, tol)
-    level = LEVEL0
+    level = general.LEVEL0
     prev_total = None
-    while level <= MAX_LEVEL:
-        gam = gamma_table(m, level, tol=tol).gamma
+    while level <= general.MAX_LEVEL:
+        gam = _gamma_stable_infinite(m, level, tol)[0]
         total = float(np.sum(gam))
         if prev_total is not None and abs(total - prev_total) <= tol * total \
                 and gam[-1] <= tol * total:
@@ -127,7 +134,8 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
             return res
         prev_total = total
         level *= 2
-    raise NotNormalizable(f"stationary mass did not stabilize by level {MAX_LEVEL}")
+    raise NotNormalizable(
+        f"stationary mass did not stabilize by level {general.MAX_LEVEL}")
 
 
 def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol) -> StationaryResult:
@@ -244,11 +252,11 @@ def value_function(Q: BandSpec | np.ndarray, cost: Sequence[float],
     """Solve alpha V = c + Q V, i.e. V = -(Q - alpha I)^{-1} c.
 
     Q - alpha I is a tridiagonal T plus the rank-one term u delta carrying
-    Q's out-of-band column-0 entries, so V costs two O(n) tridiagonal solves
-    and the Sherman-Morrison identity; for a birth-and-death chain u = 0 and
-    the rank-one term is exactly zero.  The solve is direct, so ``tol`` is
-    unused.  Rates must be finite and nonnegative (NonFiniteRate,
-    NegativeRate).
+    Q's out-of-band column-0 entries, so V costs one O(n) LAPACK ``gtsv``
+    call on the right-hand sides [c, u] and the Sherman-Morrison identity;
+    for a birth-and-death chain u = 0 and the rank-one term is exactly zero.
+    The solve is direct, so ``tol`` is unused.  Rates must be finite and
+    nonnegative (NonFiniteRate, NegativeRate).
     """
     if isinstance(Q, np.ndarray):
         Q = generator_from_dense(Q)
@@ -275,14 +283,20 @@ def _value_band_column(qd, qu, qz, c, alpha) -> np.ndarray:
     n = len(qd)
     qw = qd + qu + qz
     diag = -(qw + alpha)
-    sub = qd[1:].copy()
-    if n > 1:
-        sub[0] += qz[1]  # row 1's column-0 entry sits on the subdiagonal
-    sup = qu[: n - 1]
     u = np.zeros(n)
     u[2:] = qz[2:]
-    x = tridiag_solve_pivot(sub, diag, sup, c)
-    y = tridiag_solve_pivot(sub, diag, sup, u)
+    rhs = np.column_stack((c, u))
+    if n == 1:
+        xy = rhs / diag[0]
+    else:
+        sub = qd[1:].copy()
+        sub[0] += qz[1]  # row 1's column-0 entry sits on the subdiagonal
+        # one partial-pivoting elimination for both right-hand sides
+        _, _, _, xy, info = dgtsv(sub, diag, qu[: n - 1], rhs, overwrite_dl=1,
+                                  overwrite_d=1, overwrite_b=1)
+        if info > 0:
+            raise SingularMatrix(f"tridiagonal pivot {info} is exactly zero")
+    x, y = xy[:, 0], xy[:, 1]
     a = 1.0 + y[0]
     if abs(a) <= 1e-14 * (1.0 + float(np.max(np.abs(y)))):
         raise ZeroScalarA(f"rank-one scalar {a}")

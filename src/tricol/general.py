@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroDenominator,
 )
-from .model import StructuredMatrix, check_window
+from .model import StructuredMatrix, _check_rates
 
 #: Adaptive truncation schedule for infinite extent.
 LEVEL0 = 64
@@ -62,10 +62,13 @@ class SolveReport:
 class GammaTable:
     """Row-0 ratios gamma_j = c(0,j)/c(0,0) plus their affine machinery.
 
-    ``gamma`` holds the evaluated ratios (index 0..hi, gamma[0] = 1).  ``rho``
-    and ``eta`` are the raw affine coefficients of the piecewise recursion;
-    within a segment [a, a') anchored at index a, gamma_j = rho_j * gamma_a +
-    eta_j holds in exact arithmetic.  ``zero_set`` lists the indices with
+    ``gamma`` holds the evaluated ratios (index 0..hi, gamma[0] = 1), taken
+    from the stable backward sweep.  ``rho`` and ``eta`` are the raw affine
+    coefficients of the piecewise recursion; within a segment [a, a')
+    anchored at index a, gamma_j = rho_j * gamma_a + eta_j holds in exact
+    arithmetic.  They are the paper's forms, kept as an oracle: they grow
+    with the index and overflow to inf/NaN on long segments (n ~ 5000), and
+    no solver reads them.  ``zero_set`` lists the indices with
     bd[i] = 0 and ``anchors`` the segment anchor indices (always starting
     at 1).  ``horizon`` is the first index with bu = 0, beyond which the
     whole row is exactly zero; ``hi`` is the last tabulated index.
@@ -91,10 +94,10 @@ def first_column_value(m: StructuredMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def _window(m: StructuredMatrix, hi: int):
-    """(bd, bu, bz, bw) arrays for 0..hi with lazy re-validation."""
+    """(bd, bu, bz, bw) arrays for 0..hi; an infinite window is re-validated."""
     bd, bu, bz = m.band_rates(hi)
     if not m.is_finite:
-        check_window(m, 0, hi)
+        _check_rates(bd, bu, bz, 0)
     bw = bd + bu + bz
     return bd, bu, bz, bw
 
@@ -104,11 +107,6 @@ def _bu_horizon(bu: np.ndarray, last_structural: Optional[int]) -> Optional[int]
     stop = len(bu) if last_structural is None else last_structural
     idx = np.where(bu[:stop] == 0.0)[0]
     return int(idx[0]) if idx.size else None
-
-
-def _col0_coeff(bd, bz, r: int) -> float:
-    # B(r, 0) for r >= 1
-    return bz[r] + (bd[1] if r == 1 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,9 @@ class _AffineGammaSystem:
     bd term vanishes; the final segment is closed by the column-0
     normalization with sums truncated at hi.  Running pairs are jointly
     rescaled to dodge overflow; the stored rho/eta arrays are the raw
-    recursion values.
+    recursion values, which overflow on long segments.  Only ``rho_eta``,
+    ``gamma_table`` and ``gamma1`` build this system, as the paper's forms
+    and a test oracle; the solvers take gamma from the stable sweep alone.
     """
 
     def __init__(self, bd, bu, bz, bw, hi, gamma_known=None):
@@ -325,23 +325,23 @@ def _gamma_ratio_sweep(bd, bu, bw, hi) -> np.ndarray:
     """Row-0 ratios by the backward ratio recursion (stable direction).
 
     Index hi acts as the boundary: the final row of a finite matrix, a
-    bu = 0 cut (both exact), or an adaptive truncation point.
+    bu = 0 cut (both exact), or an adaptive truncation point.  gamma is the
+    running product of the ratios u[j] = gamma_j / gamma_{j-1}.
     """
-    gam = np.zeros(hi + 1)
-    gam[0] = 1.0
+    u = np.empty(hi + 1)
+    u[0] = 1.0
     if hi == 0:
-        return gam
-    u = np.zeros(hi + 1)
-    u[hi] = bu[hi - 1] / bw[hi]
+        return u
+    # memoryviews hand out Python floats: the loop does no NumPy scalar work
+    d, up, w, uv = memoryview(bd), memoryview(bu), memoryview(bw), memoryview(u)
+    nxt = uv[hi] = up[hi - 1] / w[hi]
     for l in range(hi - 1, 0, -1):
-        den = bw[l] - bd[l + 1] * u[l + 1]
+        den = w[l] - d[l + 1] * nxt
         if den <= 0.0:
             raise ZeroDenominator(
                 f"row-0 ratio denominator vanished at index {l}")
-        u[l] = bu[l - 1] / den
-    for j in range(1, hi + 1):
-        gam[j] = gam[j - 1] * u[j]
-    return gam
+        nxt = uv[l] = up[l - 1] / den
+    return np.cumprod(u)
 
 
 def _gamma_stable_finite(bd, bu, bz, bw, last, horizon) -> np.ndarray:
@@ -402,23 +402,26 @@ class _Engine:
         self.coeff_ops = 0
         if hi == 0:
             return
-        sub = lambda r: bd[r] if r >= 2 else 0.0
-        final_bw = bw[hi]
-        self.d_un[hi] = final_bw
-        self.b_un[hi] = sub(hi) / final_bw
-        self.a2[hi] = _col0_coeff(bd, bz, hi) / final_bw
-        self.b_ov[hi] = bu[hi - 1] / final_bw
+        d, up, z, w = (memoryview(a) for a in (bd, bu, bz, bw))
+        b_un, d_un, a2, b_ov = (memoryview(a) for a in
+                                (self.b_un, self.d_un, self.a2, self.b_ov))
+        # B(r, 0) is bz[r] (+ bd[1] on row 1); the subdiagonal bd[r] starts at row 2
+        d_un[hi] = w[hi]
+        bun = b_un[hi] = (d[hi] if hi >= 2 else 0.0) / w[hi]
+        aa = a2[hi] = (z[hi] + (d[1] if hi == 1 else 0.0)) / w[hi]
+        bov = b_ov[hi] = up[hi - 1] / w[hi]
         for r in range(hi - 1, 0, -1):
-            d = bw[r] - bu[r] * self.b_un[r + 1]
-            if d <= 0.0:
+            ur = up[r]
+            dd = w[r] - ur * bun
+            if dd <= 0.0:
                 raise ShiftUnresolvable(r, f"under-diagonal pivot vanished at row {r}")
-            self.d_un[r] = d
-            self.b_un[r] = sub(r) / d
-            self.a2[r] = (_col0_coeff(bd, bz, r) + bu[r] * self.a2[r + 1]) / d
-            d2 = bw[r] - bd[r + 1] * self.b_ov[r + 1]
+            d_un[r] = dd
+            bun = b_un[r] = (d[r] if r >= 2 else 0.0) / dd
+            aa = a2[r] = (z[r] + (d[1] if r == 1 else 0.0) + ur * aa) / dd
+            d2 = w[r] - d[r + 1] * bov
             if d2 <= 0.0:
                 raise ShiftUnresolvable(r, f"over-diagonal pivot vanished at column {r}")
-            self.b_ov[r] = bu[r - 1] / d2
+            bov = b_ov[r] = up[r - 1] / d2
         self.coeff_ops = 4 * hi
 
 
@@ -630,11 +633,21 @@ def block_residual(view: InverseView, n: Optional[int] = None) -> float:
     C = view.block(n)
     full = m.is_finite and n == m.last + 1
     rows = n if full else n - 1
-    # B's entries by column: 0, r-1, r and r+1 (each distinct column once)
-    col0 = np.array([m.entry(r, 0) for r in range(rows)])
-    sub = np.array([m.entry(r, r - 1) if r >= 2 else 0.0 for r in range(rows)])
-    dia = np.array([m.entry(r, r) if r >= 1 else 0.0 for r in range(rows)])
-    sup = np.array([m.entry(r, r + 1) if r + 1 < n else 0.0 for r in range(rows)])
+    # B's entries by column: 0, r-1, r and r+1 (each distinct column once);
+    # row 0 is (-bd[0] - bu[0], bu[0]), row 1's subdiagonal is column 0, and
+    # sup is read for rows 0..n-2 only
+    bd, bu, bz = m.band_rates(rows - 1)
+    col0, sub, dia, sup = bz.copy(), bd.copy(), -(bz + bd + bu), bu
+    if rows:
+        col0[0], dia[0] = -bd[0] - bu[0], 0.0
+    if rows > 1:
+        col0[1], sub[1] = bd[1] + bz[1], 0.0
+    if full and m._special:
+        # the special truncation's last row is not read from the rates
+        r = m.last
+        col0[r], dia[r] = m.entry(r, 0), m.entry(r, r)
+        if r >= 2:
+            sub[r] = m.entry(r, r - 1)
     worst = 0.0
     step = max(1, (1 << 16) // n)  # rows per chunk: 512 KiB temporaries
     for lo in range(0, rows, step):

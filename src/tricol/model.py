@@ -30,9 +30,6 @@ from .errors import (
 
 RateRule = Callable[[int], float]
 
-#: Growth cap for prefix caching of infinite rate sequences.
-_CHUNK = 256
-
 
 def _as_rule(seq) -> RateRule:
     if callable(seq):
@@ -305,11 +302,6 @@ def validate(spec) -> StructuredMatrix:
     m = StructuredMatrix(spec)
     m.validated = True
     return m
-
-
-def check_window(m: StructuredMatrix, lo: int, hi: int) -> None:
-    """Re-check rate conditions on indices [lo, hi] of an infinite spec."""
-    _check_rates(*m.band_rates(hi), lo)
 
 
 def _check_rates(bd, bu, bz, lo: int) -> None:

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from tricol import general
 from tricol.applications import (
     _bellman_residual,
     _normalize_pi,
+    _shifted_matrix,
+    _value_band_column,
     absorbing_bd_invert,
     absorbing_bd_spec,
     absorbing_c11,
@@ -12,8 +17,14 @@ from tricol.applications import (
     steady_state,
     value_function,
 )
-from tricol.errors import ShapeMismatch, ValidationError
-from tricol.general import block_residual, invert
+from tricol.errors import (
+    NoConvergence,
+    NotNormalizable,
+    ShapeMismatch,
+    SingularMatrix,
+    ValidationError,
+)
+from tricol.general import block_residual, gamma_table, invert
 from tricol.model import BandSpec, validate
 
 from conftest import build_dense
@@ -90,6 +101,47 @@ class TestSteadyState:
         assert np.max(np.abs(res.pi - ref)) < 1e-10
         assert res.truncation_level is not None
         assert res.tail_bound is not None and res.tail_bound < 1e-10
+
+
+class TestSteadyStateStableSweep:
+    """steady_state reads gamma from the stable backward sweep alone."""
+
+    @pytest.mark.parametrize("n", [5000, 100_000])
+    def test_large_chain_raises_no_runtime_warning(self, rng, n):
+        Q = random_generator(rng, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = steady_state(Q)
+        assert res.residual < 1e-12
+        assert np.all(np.isfinite(res.pi))
+
+    def test_pi_is_normalized_gamma_table(self, rng):
+        Q = random_generator(rng, 300)
+        gam = gamma_table(_shifted_matrix(Q), 299).gamma
+        assert np.array_equal(steady_state(Q).pi, gam / np.sum(gam))
+
+    def test_infinite_pi_is_normalized_gamma_table(self):
+        Q = BandSpec.infinite(lambda i: 0.0 if i == 0 else 1.6 + 0.1 * (i % 3),
+                              lambda i: 1.0, lambda i: 0.0 if i < 2 else 0.05,
+                              tail_start=3)
+        res = steady_state(Q)
+        gam = gamma_table(_shifted_matrix(Q), res.truncation_level).gamma
+        assert np.array_equal(res.pi, gam / np.sum(gam))
+
+    def test_doubling_starts_at_general_level0(self, monkeypatch):
+        # a fast-decaying chain settles at the second level of the schedule
+        Q = BandSpec.infinite(lambda i: 0.0 if i == 0 else 10.0, lambda i: 0.1,
+                              lambda i: 0.0)
+        assert steady_state(Q).truncation_level == 2 * general.LEVEL0
+        monkeypatch.setattr(general, "LEVEL0", 16)
+        assert steady_state(Q).truncation_level == 32
+
+    def test_doubling_bounded_by_general_max_level(self, monkeypatch):
+        null = BandSpec.infinite(lambda i: 0.0 if i == 0 else 1.0, lambda i: 1.0,
+                                 lambda i: 0.0)
+        monkeypatch.setattr(general, "MAX_LEVEL", 256)
+        with pytest.raises((NoConvergence, NotNormalizable), match="level 256"):
+            steady_state(null)
 
 
 class TestAbsorbingBD:
@@ -179,6 +231,12 @@ class TestValueFunction:
         a = value_function(Q, 2.0 * c, 0.25).values
         b = 2.0 * value_function(Q, c, 0.25).values
         assert np.array_equal(a, b)
+
+    def test_singular_tridiagonal_raises_typed_error(self):
+        # all-zero rates with alpha = 0: the first gtsv pivot is exactly zero
+        z = np.zeros(4)
+        with pytest.raises(SingularMatrix):
+            _value_band_column(z, z, z, np.ones(4), 0.0)
 
     def test_discount_must_be_positive(self, rng):
         Q = random_generator(rng, 4, band_only=True)

@@ -312,6 +312,71 @@ class TestPaperRecursionIdentities:
         assert block_residual(view) < 1e-11
 
 
+def entrywise_residual(view, n):
+    """block_residual's value with B's band read by 4n m.entry calls."""
+    m = view.matrix
+    C = view.block(n)
+    rows = n if m.is_finite and n == m.last + 1 else n - 1
+    col0 = np.array([m.entry(r, 0) for r in range(rows)])
+    sub = np.array([m.entry(r, r - 1) if r >= 2 else 0.0 for r in range(rows)])
+    dia = np.array([m.entry(r, r) if r >= 1 else 0.0 for r in range(rows)])
+    sup = np.array([m.entry(r, r + 1) if r + 1 < n else 0.0 for r in range(rows)])
+    worst = 0.0
+    for r in range(rows):
+        prod = col0[r] * C[0] + dia[r] * C[r]
+        if r >= 1:
+            prod += sub[r] * C[r - 1]
+        if r + 1 < n:
+            prod += sup[r] * C[r + 1]
+        prod[r] -= 1.0
+        worst = max(worst, float(np.max(np.abs(prod))))
+    return worst
+
+
+class TestBlockResidualBulkRates:
+    """The band read in bulk gives the residual of the entry-by-entry band."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_general_finite(self, rng, n):
+        spec = random_spec(rng, 40, zero_bd=3, zero_bu=2)
+        view = invert(validate(spec), n=n)
+        assert block_residual(view) == entrywise_residual(view, n)
+
+    def test_general_infinite(self):
+        m = validate(BandSpec.infinite(lambda i: 1.0 + 0.25 * (i % 3), lambda i: 0.8,
+                                       lambda i: 0.1 + 0.05 * (i % 2)))
+        view = invert(m, n=24)
+        assert block_residual(view) == entrywise_residual(view, 24)
+
+    @pytest.mark.parametrize("last", [1, 2, 30])
+    @pytest.mark.parametrize("truncation", ["special", "generic"])
+    def test_homogeneous(self, last, truncation):
+        from tricol.homogeneous import hom_finite_invert
+        spec = HomogeneousSpec(bd=2.0, bu=1.0, bz=0.5, last=last, truncation=truncation)
+        view = hom_finite_invert(spec)
+        assert block_residual(view) == entrywise_residual(view, last + 1)
+        assert block_residual(view) < 1e-12
+
+
+class TestWindowRealization:
+    def test_infinite_window_calls_each_rate_once_per_index(self):
+        from collections import Counter
+        from tricol.general import _window
+        calls = {name: Counter() for name in ("bd", "bu", "bz")}
+
+        def counted(name, rule):
+            return lambda i: (calls[name].update([i]), rule(i))[1]
+
+        m = validate(BandSpec.infinite(counted("bd", lambda i: 1.5),
+                                       counted("bu", lambda i: 1.0),
+                                       counted("bz", lambda i: 0.2)))
+        for counter in calls.values():
+            counter.clear()
+        _window(m, 200)
+        for counter in calls.values():
+            assert counter == Counter(range(201))
+
+
 class TestErrorPaths:
     def test_zero_denominator_in_gamma_system(self):
         # states {1, 2} form a closed conservative block: B is singular and

@@ -1,8 +1,10 @@
-"""Property tests: the generator-form inverse against dense LU and itself."""
+"""Property tests: the generator-form inverse against dense LU and itself,
+and value functions against a dense solve."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from tricol.applications import value_function
 from tricol.general import InverseView, invert
 from tricol.model import BandSpec, validate
 
@@ -58,3 +60,37 @@ def test_leading_block_is_prefix_of_full_block(spec, data):
     m = validate(spec)
     k = data.draw(st.integers(1, m.last + 1))
     assert np.array_equal(invert(m, n=k).block(k), invert(m).block()[:k, :k])
+
+
+@st.composite
+def generator_problems(draw):
+    """(Q, cost, discount): birth-and-death or dense-column generators, n in 1..64.
+
+    Rates may be exactly zero, and one state may be a zero-rate absorbing
+    state (its row of Q is zero).
+    """
+    n = draw(st.integers(1, 64))
+
+    def floats(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    qd, qu = floats(0.0, 2.0), floats(0.0, 2.0)
+    qz = floats(0.0, 1.0) if draw(st.booleans()) else np.zeros(n)
+    qd[0] = qu[-1] = qz[0] = 0.0
+    absorbing = draw(st.none() | st.integers(0, n - 1))
+    if absorbing is not None:
+        qd[absorbing] = qu[absorbing] = qz[absorbing] = 0.0
+    cost = floats(-1.0, 1.0)
+    discount = draw(st.floats(0.05, 2.0))
+    return BandSpec.finite(qd, qu, qz), cost, discount
+
+
+@PROPERTY_SETTINGS
+@given(generator_problems())
+def test_value_function_matches_dense_solve(problem):
+    Q, cost, discount = problem
+    n = Q.last + 1
+    dense = build_dense(Q.down, Q.up, Q.tozero)   # row 0 is (-qu[0], qu[0]) as qd[0] = 0
+    want = np.linalg.solve(dense - discount * np.eye(n), -cost)
+    got = value_function(Q, cost, discount).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
