@@ -92,6 +92,10 @@ def _check_generator(Q: BandSpec) -> BandSpec:
             raise ValidationError("generator rows must sum to zero: bd[0] must be 0")
         if float(np.asarray(Q.up)[-1]) != 0.0:
             raise ValidationError("finite generator needs qu[last] = 0")
+    # row 0's column-0 entry is its diagonal: a rate qz[0] has no place in Q
+    qz0 = np.asarray(Q.tozero)[0] if Q.is_finite else Q.tozero(0)
+    if float(qz0) != 0.0:
+        raise ValidationError("generator row 0 has no to-zero rate: qz[0] must be 0")
     return Q
 
 

@@ -287,11 +287,10 @@ def gamma1(m: StructuredMatrix, tol: float = 1e-12) -> float:
     prev = None
     level = LEVEL0
     while level <= MAX_LEVEL:
-        bd, bu, bz = m.band_rates(level)
-        horizon = _bu_horizon(bu, None)
-        if horizon is not None and horizon <= level:
-            return _gamma1_at_level(m, level, horizon=horizon)
-        val = _gamma1_at_level(m, level)
+        window = _window(m, level)
+        val = _gamma1_at_level(m, level, window)
+        if _bu_horizon(window[1], None) is not None:
+            return val  # a bu = 0 cut inside the window makes the sums exact
         if prev is not None and math.isfinite(val):
             if abs(val - prev) <= tol * max(1.0, abs(val)):
                 return val
@@ -300,10 +299,11 @@ def gamma1(m: StructuredMatrix, tol: float = 1e-12) -> float:
     raise NoConvergence(f"gamma1 did not stabilize by level {MAX_LEVEL}")
 
 
-def _gamma1_at_level(m: StructuredMatrix, level: int, horizon=None) -> float:
-    bd, bu, bz, bw = _window(m, level)
-    if horizon is None:
-        horizon = _bu_horizon(bu, m.last if m.is_finite else None)
+def _gamma1_at_level(m: StructuredMatrix, level: int, window=None) -> float:
+    """gamma1 from the sums truncated at ``level``; ``window`` is
+    ``_window(m, level)`` when the caller has realized it already."""
+    bd, bu, bz, bw = _window(m, level) if window is None else window
+    horizon = _bu_horizon(bu, m.last if m.is_finite else None)
     eff = level if horizon is None else min(level, horizon)
     if eff < 1:
         return 0.0  # bu[0] = 0: row 0 of the inverse is (c00, 0, 0, ...)

@@ -292,3 +292,23 @@ class TestValueFunctionRejectsBadRates:
         Q = BandSpec.finite([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         res = value_function(Q, [1.0, 1.0], 0.5)
         assert np.allclose(res.values, [2.0, 2.0])
+
+
+class TestGeneratorRowZero:
+    """Row 0's column-0 entry is its diagonal, so a generator has no qz[0]."""
+
+    BAD = BandSpec.finite([0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.0, 0.0])
+
+    def test_value_function_rejects_qz0(self):
+        with pytest.raises(ValidationError, match="qz"):
+            value_function(self.BAD, [1.0, 0.0, 0.0], 0.3)
+
+    def test_steady_state_rejects_qz0(self):
+        with pytest.raises(ValidationError, match="qz"):
+            steady_state(self.BAD)
+
+    def test_infinite_steady_state_rejects_qz0(self):
+        Q = BandSpec.infinite(lambda i: 0.0 if i == 0 else 2.0, lambda i: 1.0,
+                              lambda i: 0.5 if i == 0 else 0.0)
+        with pytest.raises(ValidationError, match="qz"):
+            steady_state(Q)

@@ -376,6 +376,25 @@ class TestWindowRealization:
         for counter in calls.values():
             assert counter == Counter(range(201))
 
+    def test_gamma1_realizes_each_level_window_once(self):
+        from collections import Counter
+        from tricol.general import _gamma1_at_level
+        calls = {name: Counter() for name in ("bd", "bu", "bz")}
+
+        def counted(name, rule):
+            return lambda i: (calls[name].update([i]), rule(i))[1]
+
+        m = validate(BandSpec.infinite(counted("bd", lambda i: 1.0),
+                                       counted("bu", lambda i: 1.0),
+                                       counted("bz", lambda i: 0.2)))
+        for counter in calls.values():
+            counter.clear()
+        val = gamma1(m)
+        # this chain settles at the second level (64, then 128)
+        for counter in calls.values():
+            assert counter == Counter(range(65)) + Counter(range(129))
+        assert val == _gamma1_at_level(m, 128)
+
 
 class TestErrorPaths:
     def test_zero_denominator_in_gamma_system(self):

@@ -1,5 +1,6 @@
 """Property tests: the generator-form inverse against dense LU and itself,
-and value functions against a dense solve."""
+value functions against a dense solve, and the tridiagonal eigenpairs
+against a dense eigensolver."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tricol.applications import value_function
 from tricol.general import InverseView, invert
 from tricol.model import BandSpec, validate
+from tricol.spectral import eig_vectors, tridiag_eigen, tridiag_part
 
 from conftest import build_dense
 
@@ -94,3 +96,29 @@ def test_value_function_matches_dense_solve(problem):
     want = np.linalg.solve(dense - discount * np.eye(n), -cost)
     got = value_function(Q, cost, discount).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def log_uniform_specs(draw):
+    """Finite specs, n in 2..64, every rate log-uniform over [0.1, 10]."""
+    n = draw(st.integers(2, 64))
+
+    def rates():
+        return 10.0 ** np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+
+    bd, bu, bz = rates(), rates(), rates()
+    bu[-1] = 0.0
+    return BandSpec.finite(bd, bu, bz)
+
+
+@PROPERTY_SETTINGS
+@given(log_uniform_specs())
+def test_tridiagonal_eigenpairs_match_dense(spec):
+    A, _ = tridiag_part(validate(spec))
+    scale = float(np.max(np.abs(A)))
+    sp = tridiag_eigen(A)
+    lam = sp.values.real
+    assert np.max(np.abs(lam - np.sort(np.linalg.eigvals(A).real))) <= 1e-12 * scale
+    V, first = eig_vectors(A, sp)
+    assert np.max(np.abs(A @ V - V * lam)) <= 1e-12 * scale
+    assert np.array_equal(first, V[0])

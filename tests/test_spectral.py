@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tricol.errors import BandProductNonpositive
 from tricol.model import BandSpec, validate
 from tricol.spectral import (
     Spectrum,
+    _f_and_deriv,
     decompose_perturbation,
     eig_vectors,
     eigenvalues_of_B,
@@ -16,7 +19,7 @@ from tricol.spectral import (
     tridiag_part,
 )
 
-from conftest import random_spec, worked_spec
+from conftest import build_dense, random_spec, worked_spec
 
 
 def quadratic_eigs_2x2(a, b, c, d):
@@ -84,6 +87,27 @@ class TestEigVectors:
             for k in range(10):
                 r = np.max(np.abs(A @ V[:, k] - sp.values[k].real * V[:, k]))
                 assert r < 1e-9
+
+    def test_vectors_follow_the_given_eigenvalue_order(self, rng):
+        A, _ = tridiag_part(validate(random_spec(rng, 12)))
+        sp = tridiag_eigen(A)
+        perm = rng.permutation(12)
+        V, first = eig_vectors(A, Spectrum(sp.values[perm]))
+        lam = sp.values.real[perm]
+        assert np.max(np.abs(A @ V - V * lam)) < 1e-12
+        assert np.array_equal(first, V[0])
+
+    def test_negative_off_diagonals(self, rng):
+        # -A has negative off-diagonal pairs; its eigenvectors are A's
+        A, _ = tridiag_part(validate(random_spec(rng, 12)))
+        sp = tridiag_eigen(-A)
+        V, _ = eig_vectors(-A, sp)
+        assert np.max(np.abs(-A @ V - V * sp.values.real)) < 1e-12
+
+    def test_band_product_checked(self):
+        W = np.array([[-2.0, 0.0], [1.0, -2.0]])
+        with pytest.raises(BandProductNonpositive):
+            eig_vectors(W, Spectrum(np.array([-2.0, -2.0], dtype=complex)))
 
 
 class TestDecomposePerturbation:
@@ -307,3 +331,65 @@ class TestNegativeRealPartUpTo32:
             sp, audit = eigenvalues_of_B(m)
             assert float(np.max(sp.values.real)) < 0.0
             assert audit.gershgorin_ok
+
+
+#: spectral workload instance (seed 1, n = 32, pool index 15) on which a
+#: companion root lands exactly on a pole of the rational root condition
+POLE_BD = [
+    0.6435629029446025, 1.2848362977138519, 5.5351306511167,
+    0.26582302329288676, 0.6009491512058607, 0.7427155489393885,
+    5.817093697267532, 0.6971791780797757, 0.2582436417813637,
+    0.20061246345939251, 3.858502254418821, 0.37173274921548866,
+    0.7096391569340341, 0.5284204962401428, 0.3809131719351359,
+    0.13269058974366382, 5.293754445558337, 0.3053274365409713,
+    0.6411132241889927, 0.1222785254866553, 4.26134980695875,
+    0.5727942653519685, 4.758958940164606, 1.5825943669761513,
+    1.348456259843236, 1.3450831537376045, 4.083076946414257,
+    0.24674484467754138, 9.498877287600504, 0.19110345593495795,
+    4.582439825413106, 0.18485543478566263,
+]
+POLE_BU = [
+    2.910552841911531, 0.5301440218904983, 0.22181419998505547,
+    0.862383246214215, 1.520225118456322, 0.12946905963782157,
+    0.17446112061183167, 0.8389623534691253, 0.17132023875307859,
+    0.71952228512359, 0.5644310997947164, 1.051323644273732, 7.162070223917858,
+    2.9819255582104525, 0.17769112230452913, 3.040171372251034,
+    8.555771110212227, 0.1307163025023961, 4.0698087074221405,
+    0.5027731108025144, 1.057104105950186, 0.9040887178016946,
+    0.166007339325043, 2.303493343192799, 0.1278142717485311,
+    0.5461464085939906, 7.528323607127743, 3.7186876665213124,
+    2.89606038043562, 0.703149336284495, 0.10839707650466852, 0.0,
+]
+POLE_BZ = [
+    2.610557720130439, 0.2872962955769686, 5.366482615735903,
+    2.4654656377304414, 8.68746083894246, 1.667501540229164,
+    0.4774129440302781, 0.9939818379771557, 6.918167075431383,
+    7.887182153646472, 7.4440629605110855, 2.7289854563109226,
+    0.40382256730765037, 0.13442717181986322, 0.5521901775504403,
+    0.4428856186605506, 1.2923974473075126, 3.028787566979739,
+    0.3228612081653421, 8.165053277429468, 0.8089014446084151,
+    4.343065240735733, 0.19766426050391647, 0.21135219933511268,
+    0.3585873238615581, 2.512357866017858, 0.2672028927739282,
+    3.8737166996683148, 0.27358349816912003, 0.1971187869564556,
+    0.8074737756484671, 0.9814527372306733,
+]
+
+
+class TestPole:
+    def test_f_and_deriv_at_a_pole_is_nonfinite_without_warning(self):
+        dvec = np.array([2.0, 3.0], dtype=complex)
+        cvec = np.array([0.5, 0.25], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f, fp = _f_and_deriv(2.0 + 0.0j, 1.0 + 0.0j, dvec, cvec)
+            assert not np.isfinite(f) and not np.isfinite(fp)
+            f, fp = _f_and_deriv(1.0 + 0.0j, 1.0 + 0.0j, dvec, cvec)
+        assert f == pytest.approx(1.0 - 1.0 - (0.5 / 1.0 + 0.25 / 2.0))
+        assert fp == pytest.approx(-1.0 - (0.5 * 2.0 / 1.0 + 0.25 * 3.0 / 4.0))
+
+    def test_pipeline_through_a_pole_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sp, _ = eigenvalues_of_B(validate(BandSpec.finite(POLE_BD, POLE_BU, POLE_BZ)))
+        want = np.linalg.eigvals(build_dense(POLE_BD, POLE_BU, POLE_BZ))
+        assert multiset_gap(sp.values, want) <= 1e-9 * float(np.max(np.abs(want)))
