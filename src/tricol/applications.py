@@ -29,6 +29,7 @@ from .errors import (
 )
 from .general import (
     InverseView,
+    _Window,
     _bu_horizon,
     _gamma_stable_finite,
     _gamma_stable_infinite,
@@ -126,14 +127,15 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
         bd, bu, bz, bw = _window(m, m.last)
         gam = _gamma_stable_finite(bd, bu, bz, bw, m.last, _bu_horizon(bu, m.last))
         return _normalize_pi(Q, gam, None, tol)
+    win = _Window(m)  # one realization of each index for every level below
     level = general.LEVEL0
     prev_total = None
     while level <= general.MAX_LEVEL:
-        gam = _gamma_stable_infinite(m, level, tol)[0]
+        gam = _gamma_stable_infinite(win, level, tol)[0]
         total = float(np.sum(gam))
         if prev_total is not None and abs(total - prev_total) <= tol * total \
                 and gam[-1] <= tol * total:
-            res = _normalize_pi(Q, gam, level, tol)
+            res = _normalize_pi(Q, gam, level, tol, win.upto(level))
             res.tail_bound = _tail_bound(Q, gam, total)
             return res
         prev_total = total
@@ -142,20 +144,29 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
         f"stationary mass did not stabilize by level {general.MAX_LEVEL}")
 
 
-def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol) -> StationaryResult:
+def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> StationaryResult:
+    """pi = gam / sum(gam) and max |pi Q| over the columns pi fixes.
+
+    An infinite chain reads ``window``, the shifted matrix's rates over
+    0..level: only qd[2:], qu and qw[1:] enter, which the shift leaves alone.
+    """
     total = float(np.sum(gam))
     if not math.isfinite(total) or total <= 0.0:
         raise NotNormalizable(f"total mass {total}")
     pi = gam / total
     n = len(pi)
-    qd, qu, qz = (np.asarray(Q.down, dtype=float), np.asarray(Q.up, dtype=float),
-                  np.asarray(Q.tozero, dtype=float)) if Q.is_finite else Q.rates(n - 1)
-    qw = qd + qu + qz
-    # column 0 of pi Q
-    col0 = -(qd[0] + qu[0]) * pi[0]
-    if n > 1:
-        col0 += (qd[1] + qz[1]) * pi[1] + float(np.dot(qz[2:n], pi[2:n]))
-    worst = abs(col0) if Q.is_finite else 0.0
+    worst = 0.0
+    if Q.is_finite:
+        qd, qu, qz = (np.asarray(Q.down, dtype=float), np.asarray(Q.up, dtype=float),
+                      np.asarray(Q.tozero, dtype=float))
+        qw = qd + qu + qz
+        # column 0 of pi Q
+        col0 = -(qd[0] + qu[0]) * pi[0]
+        if n > 1:
+            col0 += (qd[1] + qz[1]) * pi[1] + float(np.dot(qz[2:n], pi[2:n]))
+        worst = abs(col0)
+    else:
+        qd, qu, _, qw = window
     # columns j = 1..hi-1: qu[j-1] pi[j-1] - qw[j] pi[j] + qd[j+1] pi[j+1]
     hi = n if Q.is_finite else n - 1
     v = qu[: hi - 1] * pi[: hi - 1] - qw[1:hi] * pi[1:hi]

@@ -275,11 +275,19 @@ def _st_spectral_worked():
     return ok, f"oracle gap {audit.oracle_gap:.2e}"
 
 
-def _st_infinite_gamma():
-    m = model.validate(model.HomogeneousSpec(2.0, 1.0, 1.0).as_band())
-    g1 = general.gamma1(m)
-    err = abs(g1 - (1.0 - 0.5 * np.sqrt(2.0)))
-    return err < 1e-10, f"deviation {err:.2e}"
+def _st_infinite_homogeneous():
+    # gamma1 through the doubling levels, as a rate-callable band and as a
+    # homogeneous spec: 1 - sqrt(2)/2
+    spec = model.HomogeneousSpec(2.0, 1.0, 1.0)
+    want = 1.0 - 0.5 * np.sqrt(2.0)
+    err = max(abs(general.gamma1(model.validate(s)) - want) for s in (spec.as_band(), spec))
+    # the infinite M/M/1 chain with qu = 1, qd = 2: pi_j = 0.5 * 0.5**j
+    mm1 = model.BandSpec.infinite(lambda i: 0.0 if i == 0 else 2.0, lambda i: 1.0,
+                                  lambda i: 0.0, tail_start=1)
+    pi = applications.steady_state(mm1).pi
+    pi_err = float(np.max(np.abs(pi - 0.5 * 0.5 ** np.arange(len(pi)))))
+    return err < 1e-13 and pi_err < 1e-12, \
+        f"gamma1 deviation {err:.2e}, M/M/1 pi deviation {pi_err:.2e}"
 
 
 _SELFTESTS = [
@@ -290,7 +298,7 @@ _SELFTESTS = [
     ("absorbing-c11", _st_absorbing_c11),
     ("sherman-morrison-vs-lu", _st_sherman_morrison),
     ("spectral-worked-3x3", _st_spectral_worked),
-    ("infinite-homogeneous-gamma1", _st_infinite_gamma),
+    ("infinite-homogeneous", _st_infinite_homogeneous),
 ]
 
 

@@ -94,12 +94,44 @@ def first_column_value(m: StructuredMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def _window(m: StructuredMatrix, hi: int):
-    """(bd, bu, bz, bw) arrays for 0..hi; an infinite window is re-validated."""
-    bd, bu, bz = m.band_rates(hi)
+    """(bd, bu, bz, bw) arrays for 0..hi in one shot; an infinite window is
+    validated as it is realized (a solve that grows it uses ``_Window``)."""
     if not m.is_finite:
-        _check_rates(bd, bu, bz, 0)
-    bw = bd + bu + bz
-    return bd, bu, bz, bw
+        return _Window(m).upto(hi)
+    bd, bu, bz = m.band_rates(hi)
+    return bd, bu, bz, bd + bu + bz
+
+
+class _Window:
+    """The growing rate window of one infinite matrix, shared by one solve.
+
+    ``upto(hi)`` returns (bd, bu, bz, bw) over 0..hi, realizing and
+    validating only the indices past those it holds, so every doubling
+    level of a solve calls the rate rules once per new index.  Each array
+    grows by allocation, prefix copy and fill; a caller that keeps no view
+    across ``upto`` thereby frees the smaller window.
+    """
+
+    def __init__(self, m: StructuredMatrix):
+        self.m = m
+        self.hi = -1
+        self._rates: list = []
+
+    def upto(self, hi: int):
+        lo = self.hi + 1
+        if hi >= lo:
+            new = list(self.m.band_rates(hi, lo))
+            new.append(_check_rates(*new, lo))
+            if lo:
+                for k in range(4):  # one array at a time: each part dies once copied
+                    grown = np.empty(hi + 1)
+                    grown[:lo] = self._rates[k]
+                    grown[lo:] = new[k]
+                    self._rates[k], new[k] = grown, None
+            else:
+                self._rates = new
+            self.hi = hi
+        return tuple(a[: hi + 1] for a in self._rates)
 
 
 def _bu_horizon(bu: np.ndarray, last_structural: Optional[int]) -> Optional[int]:
@@ -252,8 +284,9 @@ def gamma_table(m: StructuredMatrix, up_to: int, tol: float = 1e-12) -> GammaTab
             zero_set=zero_set, anchors=tuple(sysm.anchors),
             anchor_values=tuple(sysm.anchor_values), horizon=horizon, hi=up_to)
 
-    gam_full, level, _ = _gamma_stable_infinite(m, up_to, tol, full=True)
-    bd, bu, bz, bw = _window(m, level)
+    win = _Window(m)
+    gam_full, level, _ = _gamma_stable_infinite(win, up_to, tol, full=True)
+    bd, bu, bz, bw = win.upto(level)
     horizon = _bu_horizon(bu, None)
     eff = level if horizon is None else min(level, horizon)
     sysm = _AffineGammaSystem(bd[:eff + 1], bu[:eff + 1], bz[:eff + 1],
@@ -284,12 +317,12 @@ def gamma1(m: StructuredMatrix, tol: float = 1e-12) -> float:
     """
     if m.is_finite:
         return _gamma1_at_level(m, m.last)
+    win = _Window(m)
     prev = None
     level = LEVEL0
     while level <= MAX_LEVEL:
-        window = _window(m, level)
-        val = _gamma1_at_level(m, level, window)
-        if _bu_horizon(window[1], None) is not None:
+        val, cut = _gamma1_infinite_level(m, win, level)
+        if cut:
             return val  # a bu = 0 cut inside the window makes the sums exact
         if prev is not None and math.isfinite(val):
             if abs(val - prev) <= tol * max(1.0, abs(val)):
@@ -297,6 +330,14 @@ def gamma1(m: StructuredMatrix, tol: float = 1e-12) -> float:
         prev = val
         level *= 2
     raise NoConvergence(f"gamma1 did not stabilize by level {MAX_LEVEL}")
+
+
+def _gamma1_infinite_level(m: StructuredMatrix, win: _Window, level: int):
+    """(gamma1 at ``level``, whether a bu = 0 cut lies inside the window).
+
+    The window's views die on return, before the next level grows it."""
+    window = win.upto(level)
+    return _gamma1_at_level(m, level, window), _bu_horizon(window[1], None) is not None
 
 
 def _gamma1_at_level(m: StructuredMatrix, level: int, window=None) -> float:
@@ -341,7 +382,7 @@ def _gamma_ratio_sweep(bd, bu, bw, hi) -> np.ndarray:
             raise ZeroDenominator(
                 f"row-0 ratio denominator vanished at index {l}")
         nxt = uv[l] = up[l - 1] / den
-    return np.cumprod(u)
+    return np.cumprod(u, out=u)
 
 
 def _gamma_stable_finite(bd, bu, bz, bw, last, horizon) -> np.ndarray:
@@ -353,33 +394,42 @@ def _gamma_stable_finite(bd, bu, bz, bw, last, horizon) -> np.ndarray:
     return gam
 
 
-def _gamma_stable_infinite(m: StructuredMatrix, up_to: int, tol: float,
-                           full: bool = False):
+def _gamma_stable_infinite(win: _Window, up_to: int, tol: float, full: bool = False):
     """(gamma, level, achieved) with doubling certification.
 
     Returns gamma over 0..up_to, or over the whole certified level when
-    ``full`` is set.
+    ``full`` is set.  ``win`` is the solve's window of the matrix, shared
+    with any doubling loop of the caller's own.
     """
     level = max(LEVEL0, 2 * up_to)
     prev = None
     while level <= MAX_LEVEL:
-        bd, bu, bz, bw = _window(m, level)
-        horizon = _bu_horizon(bu, None)
-        if horizon is not None and horizon <= level:
-            gam = _gamma_stable_finite(bd, bu, bz, bw, level, horizon)
+        gam, cut = _sweep_level(win, level)
+        if cut:
             return (gam if full else gam[: up_to + 1]), level, 0.0
-        gam = _gamma_ratio_sweep(bd, bu, bw, level)
         if prev is not None:
             diff = float(np.max(np.abs(gam[: up_to + 1] - prev)))
             if diff <= tol * max(1.0, float(np.max(np.abs(gam[: up_to + 1])))):
                 return (gam if full else gam[: up_to + 1]), level, diff
-        prev = gam[: up_to + 1]
+        prev = gam[: up_to + 1].copy()
+        del gam  # the next, larger sweep need not hold this one alive
         level *= 2
     raise NoConvergence(f"row-0 ratios did not stabilize by level {MAX_LEVEL}")
 
 
+def _sweep_level(win: _Window, level: int):
+    """(gamma over 0..level, whether a bu = 0 cut made it exact).
+
+    The window's views die on return, before the next level grows it."""
+    bd, bu, bz, bw = win.upto(level)
+    horizon = _bu_horizon(bu, None)
+    if horizon is not None:
+        return _gamma_stable_finite(bd, bu, bz, bw, level, horizon), True
+    return _gamma_ratio_sweep(bd, bu, bw, level), False
+
+
 class _Engine:
-    """Sweep coefficients for one matrix at one boundary horizon.
+    """Sweep coefficients for one rate window, its last index the boundary.
 
     All four tables are single backward passes over the band:
 
@@ -390,10 +440,9 @@ class _Engine:
       c(i, l) = b_ov[l]*c(i, l-1); row 0 uses the same ratios.
     """
 
-    def __init__(self, m: StructuredMatrix, hi: int):
-        bd, bu, bz, bw = _window(m, hi)
-        self.bd, self.bu, self.bz, self.bw = bd, bu, bz, bw
-        self.hi = hi
+    def __init__(self, rates):
+        bd, bu, bz, bw = rates  # a window over 0..hi
+        self.hi = hi = len(bd) - 1
         n1 = hi + 1
         self.b_un = np.zeros(n1)
         self.d_un = np.zeros(n1)
@@ -519,7 +568,7 @@ class InverseView:
             if n > m.last + 1:
                 raise OutOfRange(f"block size {n} exceeds matrix size {m.last + 1}")
             if self._engine is None:
-                self._engine = _Engine(m, m.last)
+                self._engine = _Engine(_window(m, m.last))
                 self.report.coeff_ops += self._engine.coeff_ops
             self._generate(self._engine, n)
         elif self._engine is not None and self._engine.hi >= max(LEVEL0, 2 * n):
@@ -542,9 +591,10 @@ class InverseView:
     def _certified_engine(self, n: int) -> _Engine:
         """Engine at the first doubling level whose n x n block has settled."""
         level = max(LEVEL0, 2 * n, self.report.truncation_level or 0)
+        win = _Window(self.matrix)
         prev_block = None
         while level <= MAX_LEVEL:
-            engine = _Engine(self.matrix, level)
+            engine = _Engine(win.upto(level))
             _, row0, diag = _generators(engine, self.c00, n)
             block = _export_block(row0, diag, engine.b_ov, engine.b_un, engine.a2, n)
             self.report.coeff_ops += engine.coeff_ops

@@ -85,19 +85,17 @@ class BandSpec:
             last=None, tail_start=tail_start,
         )
 
-    def rates(self, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (bd, bu, bz) covering indices 0..hi inclusive."""
+    def rates(self, hi: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (bd, bu, bz) covering indices lo..hi inclusive."""
         if self.is_finite:
             if hi > self.last:
                 raise OutOfRange(f"index {hi} beyond final index {self.last}")
-            return (np.asarray(self.down)[: hi + 1],
-                    np.asarray(self.up)[: hi + 1],
-                    np.asarray(self.tozero)[: hi + 1])
-        n = hi + 1
-        bd = np.fromiter((self.down(i) for i in range(n)), dtype=float, count=n)
-        bu = np.fromiter((self.up(i) for i in range(n)), dtype=float, count=n)
-        bz = np.fromiter((self.tozero(i) for i in range(n)), dtype=float, count=n)
-        return bd, bu, bz
+            return (np.asarray(self.down)[lo: hi + 1],
+                    np.asarray(self.up)[lo: hi + 1],
+                    np.asarray(self.tozero)[lo: hi + 1])
+        n = hi + 1 - lo
+        return tuple(np.fromiter(map(rule, range(lo, hi + 1)), dtype=float, count=n)
+                     for rule in (self.down, self.up, self.tozero))
 
 
 @dataclass(frozen=True)
@@ -166,14 +164,14 @@ class StructuredMatrix:
             None if self.spec.last is None else self.spec.last + 1)
 
     # -- rate access -----------------------------------------------------
-    def band_rates(self, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(bd, bu, bz) arrays for indices 0..hi; uniform over spec kinds."""
+    def band_rates(self, hi: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bd, bu, bz) arrays for indices lo..hi; uniform over spec kinds."""
         spec = self.spec
         if isinstance(spec, BandSpec):
-            return spec.rates(hi)
+            return spec.rates(hi, lo)
         if spec.is_finite and hi > spec.last:
             raise OutOfRange(f"index {hi} beyond final index {spec.last}")
-        n = hi + 1
+        n = hi + 1 - lo
         bd = np.full(n, spec.bd)
         bu = np.full(n, spec.bu)
         bz = np.full(n, spec.bz)
@@ -293,7 +291,7 @@ def validate(spec) -> StructuredMatrix:
     bd, bu, bz = spec.rates(probe_hi)
     if bd[0] <= 0:
         raise NonPositiveB0d(f"bd[0] = {bd[0]} must be > 0")
-    _check_rates(bd, bu, bz, 0)
+    _check_rates(bd, bu, bz)
     if spec.is_finite:
         tail = bu[spec.last]
         if tail != 0.0:
@@ -304,27 +302,34 @@ def validate(spec) -> StructuredMatrix:
     return m
 
 
-def _check_rates(bd, bu, bz, lo: int) -> None:
-    """Rates from index lo on must be finite and nonnegative, row weights positive."""
-    _check_nonnegative(bd, bu, bz, lo)
+def _check_rates(bd, bu, bz, first: int = 0) -> np.ndarray:
+    """Rates must be finite and nonnegative, row weights positive from index 1 on.
+
+    The arrays hold indices first, first + 1, ...; errors name the true
+    index.  Returns the row weights bd + bu + bz.
+    """
+    _check_nonnegative(bd, bu, bz, first)
     bw = bd + bu + bz
-    bad = np.where(bw[max(lo, 1):] <= 0)[0]
+    skip = 1 if first == 0 else 0  # row 0 has no row-weight rule
+    bad = np.flatnonzero(bw[skip:] <= 0)
     if bad.size:
-        i = int(bad[0]) + max(lo, 1)
-        raise ZeroRowWeight(f"bw[{i}] = {bw[i]} must be > 0")
+        k = int(bad[0]) + skip
+        raise ZeroRowWeight(f"bw[{k + first}] = {bw[k]} must be > 0")
+    return bw
 
 
-def _check_nonnegative(bd, bu, bz, lo: int = 0) -> None:
-    """Rates from index lo on must be finite and nonnegative (no row-weight rule)."""
+def _check_nonnegative(bd, bu, bz, first: int = 0) -> None:
+    """Rates must be finite and nonnegative (no row-weight rule); the arrays
+    hold indices first, first + 1, ..."""
     for name, arr in (("bd", bd), ("bu", bu), ("bz", bz)):
-        bad = np.where(~np.isfinite(arr[lo:]))[0]
+        bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
-            i = int(bad[0]) + lo
-            raise NonFiniteRate(f"{name}[{i}] = {arr[i]} is not finite")
-        bad = np.where(arr[lo:] < 0)[0]
+            k = int(bad[0])
+            raise NonFiniteRate(f"{name}[{k + first}] = {arr[k]} is not finite")
+        bad = np.flatnonzero(arr < 0)
         if bad.size:
-            i = int(bad[0]) + lo
-            raise NegativeRate(f"{name}[{i}] = {arr[i]} is negative")
+            k = int(bad[0])
+            raise NegativeRate(f"{name}[{k + first}] = {arr[k]} is negative")
 
 
 def decompose(m: StructuredMatrix):

@@ -38,6 +38,8 @@ from .model import StructuredMatrix, decompose
 DROP_COEFF = 1e-12
 #: |imag| below this (relative) counts as a real companion root
 REAL_ROOT_TOL = 1e-9
+#: largest eigenvector residual ||S z - lam z||, relative to max|d| + 2 max|e|
+_VECTOR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,9 @@ def eig_vectors(W: np.ndarray, spectrum: Spectrum):
     LAPACK ``stein`` runs inverse iteration on the symmetrized similar
     matrix; each vector is mapped back and normalized to unit Euclidean
     length with a positive first component left unforced (the caller
-    renormalizes anyway).
+    renormalizes anyway).  A vector whose residual on the symmetrized band
+    exceeds ``_VECTOR_RTOL`` of its scale, as for a value that is not an
+    eigenvalue, raises IterationStall with the value's index.
     """
     W = np.asarray(W, dtype=float)
     n = W.shape[0]
@@ -151,11 +155,25 @@ def eig_vectors(W: np.ndarray, spectrum: Spectrum):
     iblock = np.ones(n, dtype=np.int32)
     isplit = np.zeros(n, dtype=np.int32)
     isplit[0] = n
-    z, info = dstein(d, e, lam[order], iblock, isplit)
+    lam_sorted = lam[order]
+    z, info = dstein(d, e, lam_sorted, iblock, isplit)
     if info > 0:
         raise IterationStall(
             None, f"inverse iteration (LAPACK stein) left {info} of "
                   f"{len(lam)} eigenvectors unconverged")
+    # stein returns a unit vector for any value: check ||S z - lam z|| per column
+    r = (d[:, None] - lam_sorted) * z
+    r[:-1] += e[:, None] * z[1:]
+    r[1:] += e[:, None] * z[:-1]
+    resid = np.linalg.norm(r, axis=0)
+    limit = _VECTOR_RTOL * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    bad = np.flatnonzero(~(resid <= limit))
+    if bad.size:
+        k = bad[np.argmin(order[bad])]
+        i = int(order[k])
+        raise IterationStall(
+            i, f"eigenvector {i} has residual {resid[k]:.3g} > {limit:.3g}: "
+               f"{float(lam[i])} is not an eigenvalue")
     V = np.empty((n, len(lam)))
     V[:, order] = z * np.exp(-(logd - logd.max()))[:, None]
     norms = np.linalg.norm(V, axis=0)

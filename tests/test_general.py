@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricol.errors import OutOfRange, ValidationError
 from tricol.general import (
@@ -392,7 +393,7 @@ class TestWindowRealization:
         val = gamma1(m)
         # this chain settles at the second level (64, then 128)
         for counter in calls.values():
-            assert counter == Counter(range(65)) + Counter(range(129))
+            assert counter == Counter(range(129))
         assert val == _gamma1_at_level(m, 128)
 
 
@@ -467,3 +468,154 @@ class TestAdaptiveLimits:
         monkeypatch.setattr(general, "MAX_LEVEL", 256)
         with pytest.raises(NoConvergence):
             gamma1(m, tol=1e-14)
+
+
+def counted_spec(rules, calls, **kw):
+    """An infinite spec whose rate rules tally every index they are called at."""
+    def counted(name, rule):
+        return lambda i: (calls[name].update([i]), rule(i))[1]
+
+    return BandSpec.infinite(*(counted(name, rule) for name, rule in
+                               zip(("bd", "bu", "bz"), rules)), **kw)
+
+
+class TestGrowingWindow:
+    """One solve realizes each rate index once, however many levels it runs."""
+
+    @staticmethod
+    def periodic(values):
+        return lambda i: values[i % len(values)]
+
+    def periodic_matrix(self, calls):
+        m = validate(counted_spec([self.periodic([1.0, 1.1, 0.9]),
+                                   self.periodic([1.05, 0.95]),
+                                   self.periodic([0.01, 0.02, 0.015, 0.01])], calls))
+        for counter in calls.values():
+            counter.clear()
+        return m
+
+    def test_invert_realizes_each_index_once(self):
+        from collections import Counter
+        calls = {name: Counter() for name in ("bd", "bu", "bz")}
+        m = self.periodic_matrix(calls)
+        view = invert(m, n=128)
+        level = view.report.truncation_level
+        assert level >= 512  # several doubling levels ran
+        assert calls["bd"] == Counter(range(level + 1)) + Counter([0])  # + c00
+        assert calls["bu"] == calls["bz"] == Counter(range(level + 1))
+
+    def test_gamma_table_realizes_each_index_once(self):
+        from collections import Counter
+        calls = {name: Counter() for name in ("bd", "bu", "bz")}
+        m = self.periodic_matrix(calls)
+        gamma_table(m, 50)
+        top = max(calls["bu"])
+        assert top >= 400 and top % 100 == 0  # levels 100, 200, 400, ...
+        for counter in calls.values():
+            assert counter == Counter(range(top + 1))
+
+    def test_steady_state_realizes_each_index_once(self):
+        from collections import Counter
+        from tricol.applications import steady_state
+        calls = {name: Counter() for name in ("bd", "bu", "bz")}
+        head = 8
+        Q = counted_spec([lambda i: 0.0 if i == 0 else (1.0 if i < head else 1.5),
+                          lambda i: 1.2 if i < head else 1.0,
+                          lambda i: 0.0 if i < 2 else 0.05], calls, tail_start=head)
+        res = steady_state(Q)
+        top = max(calls["bu"])
+        assert top >= 2 * res.truncation_level
+        probe = Counter(range(65))  # validate() of the shifted matrix
+        tail = Counter([head])      # the tail bound reads one tail row
+        window = Counter(range(top + 1))
+        # the shifted bd[0] = 1 never calls qd at 0; _check_generator reads qz[0]
+        assert calls["bd"] == probe + window + tail - Counter({0: 2})
+        assert calls["bu"] == probe + window + tail
+        assert calls["bz"] == probe + window + tail + Counter([0])
+
+    def test_null_recurrent_steady_state_realizes_each_index_once(self, monkeypatch):
+        from collections import Counter
+        from tricol import general
+        from tricol.applications import steady_state
+        from tricol.errors import NoConvergence
+        monkeypatch.setattr(general, "MAX_LEVEL", 1024)
+        calls = {name: Counter() for name in ("bd", "bu", "bz")}
+        Q = counted_spec([lambda i: 0.0 if i == 0 else 1.3, lambda i: 1.3,
+                          lambda i: 0.0], calls)
+        with pytest.raises(NoConvergence):
+            steady_state(Q)
+        probe, window = Counter(range(65)), Counter(range(1025))
+        assert calls["bd"] == probe + window - Counter({0: 2})
+        assert calls["bu"] == probe + window
+        assert calls["bz"] == probe + window + Counter([0])
+
+    @pytest.mark.parametrize("solve,at", [
+        (lambda m: gamma1(m), 100),                 # levels 64, 128
+        (lambda m: invert(m, n=64), 200),           # levels 128, 256
+        (lambda m: gamma_table(m, 50), 200),        # levels 100, 200
+    ])
+    @pytest.mark.parametrize("which,bad,error,text", [
+        (0, float("nan"), "NonFiniteRate", "bd[{}] = nan"),
+        (1, -1.0, "NegativeRate", "bu[{}] = -1.0"),
+        (None, 0.0, "ZeroRowWeight", "bw[{}] = 0.0"),
+    ])
+    def test_grown_slice_validation_names_the_index(self, solve, at, which, bad,
+                                                    error, text):
+        from tricol import errors
+        rates = [1.0, 1.0, 0.2]
+
+        def rule(k):
+            hit = which is None or which == k
+            return lambda i: bad if (i == at and hit) else rates[k]
+
+        m = validate(BandSpec.infinite(rule(0), rule(1), rule(2)))
+        with pytest.raises(getattr(errors, error)) as info:
+            solve(m)
+        assert text.format(at) in str(info.value)
+
+    @pytest.mark.parametrize("which,bad,error,text", [
+        (0, float("nan"), "NonFiniteRate", "bd[200] = nan"),
+        (1, -1.0, "NegativeRate", "bu[200] = -1.0"),
+        (None, 0.0, "ZeroRowWeight", "bw[200] = 0.0"),
+    ])
+    def test_steady_state_grown_slice_names_the_index(self, which, bad, error, text):
+        # levels 128 then 256 for the first stationary level
+        from tricol import errors
+        from tricol.applications import steady_state
+        rates = [1.0, 1.0, 0.2]
+
+        def rule(k):
+            hit = which is None or which == k
+            return lambda i: 0.0 if (i == 0 and k != 1) else (
+                bad if (i == 200 and hit) else rates[k])
+
+        with pytest.raises(getattr(errors, error)) as info:
+            steady_state(BandSpec.infinite(rule(0), rule(1), rule(2)))
+        assert text in str(info.value)
+
+
+@st.composite
+def window_plans(draw):
+    """An infinite matrix and a sequence of window ends to grow it through."""
+    if draw(st.booleans()):
+        spec = HomogeneousSpec(*draw(st.tuples(*[st.floats(0.1, 3.0)] * 3)))
+    else:
+        rates = [np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=p, max_size=p)))
+                 for p in draw(st.tuples(*[st.integers(1, 7)] * 3))]
+        spec = BandSpec.infinite(*(lambda i, r=r: r[i % len(r)] for r in rates))
+    his = draw(st.lists(st.integers(0, 300), min_size=1, max_size=8))
+    return validate(spec), sorted(his, reverse=draw(st.booleans()))
+
+
+@given(window_plans())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_growing_window_matches_one_shot_window(plan):
+    from tricol.general import _Window, _window
+    m, his = plan
+    win = _Window(m)
+    for hi in his:
+        got = win.upto(hi)
+        bd, bu, bz = m.band_rates(hi)
+        for want in (_window(m, hi), (bd, bu, bz, bd + bu + bz)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -110,6 +110,24 @@ class TestEigVectors:
             eig_vectors(W, Spectrum(np.array([-2.0, -2.0], dtype=complex)))
 
 
+class TestEigVectorResidual:
+    @pytest.mark.parametrize("value", [5.0, 1e3, 1e8])
+    def test_non_eigenvalue_raises_iteration_stall(self, rng, value):
+        from tricol.errors import IterationStall
+        A, _ = tridiag_part(validate(random_spec(rng, 64)))
+        values = tridiag_eigen(A).values.copy()
+        values[10] = value
+        with pytest.raises(IterationStall) as info:
+            eig_vectors(A, Spectrum(values))
+        assert info.value.index == 10
+
+    def test_true_eigenvalues_pass(self, rng):
+        A, _ = tridiag_part(validate(random_spec(rng, 64)))
+        sp = tridiag_eigen(A)
+        V, _ = eig_vectors(A, sp)
+        assert np.max(np.abs(A @ V - V * sp.values.real)) < 1e-12
+
+
 class TestDecomposePerturbation:
     def test_zero_perturbation(self, rng):
         spec = random_spec(rng, 7)
