@@ -31,8 +31,8 @@ from .general import (
     InverseView,
     _Window,
     _bu_horizon,
-    _gamma_stable_finite,
     _gamma_stable_infinite,
+    _gamma_sweep,
     _window,
     invert as general_invert,
 )
@@ -45,7 +45,8 @@ class StationaryResult:
     """Stationary vector with its self-checks."""
 
     pi: np.ndarray
-    residual: float                 # max |pi Q| over computed columns
+    residual: float                 # max |pi Q| over computed columns: an absolute
+                                    # backward error, no bound on the error in pi
     truncation_level: Optional[int] = None
     tail_bound: Optional[float] = None
 
@@ -124,8 +125,8 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
     Q = _check_generator(Q)
     m = _shifted_matrix(Q)
     if m.is_finite:
-        bd, bu, bz, bw = _window(m, m.last)
-        gam = _gamma_stable_finite(bd, bu, bz, bw, m.last, _bu_horizon(bu, m.last))
+        bd, bu, bz, _ = _window(m, m.last)
+        gam = _gamma_sweep(bd, bu, bz, _bu_horizon(bu, m.last))
         return _normalize_pi(Q, gam, None, tol)
     win = _Window(m)  # one realization of each index for every level below
     level = general.LEVEL0

@@ -6,17 +6,20 @@ c(0,0) times a running product of over-diagonal ratios b_ov; the diagonal
 follows a first-order recursion; rightward of the diagonal every row runs by
 the same ratios b_ov, and below it column s obeys
 x_r = c(0,s)*a2[r] + b_un[r]*x_{r-1}.  So C is lower-quasiseparable of
-order 2 and upper-quasiseparable of order 1.  The coefficients come from one
-backward sweep that evaluates the defining equations B C'_j = delta'_j and
-C_i B = delta_i with the boundary equation folded in, which stays stable in
-binary64 (the textbook forward recursions excite a growing characteristic
-mode and lose all accuracy beyond a few dozen indices).  Dense blocks are
-exported from the generators by one vectorized routine.
+order 2 and upper-quasiseparable of order 1.  The coefficients come from
+backward sweeps that evaluate the defining equations B C'_j = delta'_j and
+C_i B = delta_i with the boundary equation folded in (the textbook forward
+recursions excite a growing characteristic mode and lose all accuracy
+beyond a few dozen indices).  As in the Grassmann-Taksar-Heyman algorithm,
+each sweep carries its pivot's nonnegative surplus, so no pivot is formed by
+subtraction and the ratios are entrywise relatively accurate.  One routine
+yields the over-diagonal ratios, which are also row 0's: gamma, gamma1 and
+the inverse all read it.  Dense blocks are exported by one vectorized routine.
 
-The affine coefficient pairs (rho_j, eta_j) of the row-0 system and the
-segment-anchor resolution used when some bd[i] = 0 are exposed verbatim;
-their role is to define gamma_1 and the anchors, both of which are ratios of
-systematically signed sums and therefore well conditioned.
+The affine pairs (rho_j, eta_j) of the row-0 system, the segment anchors
+used when some bd[i] = 0 and the Prop-3 normalization are the paper's forms;
+``gamma_table`` and ``rho_eta`` expose them as test oracles, and no solver
+reads them.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class SolveReport:
     tol: float
     truncation_level: Optional[int] = None
     achieved: Optional[float] = None
-    residual: Optional[float] = None
+    residual: Optional[float] = None  # max |BC - I|: an absolute backward error
     seconds: float = 0.0
     entry_ops: int = 0
     coeff_ops: int = 0
@@ -153,12 +156,13 @@ class _AffineGammaSystem:
     bd term vanishes; the final segment is closed by the column-0
     normalization with sums truncated at hi.  Running pairs are jointly
     rescaled to dodge overflow; the stored rho/eta arrays are the raw
-    recursion values, which overflow on long segments.  Only ``rho_eta``,
-    ``gamma_table`` and ``gamma1`` build this system, as the paper's forms
-    and a test oracle; the solvers take gamma from the stable sweep alone.
+    recursion values, which overflow on long segments.  Only ``rho_eta`` and
+    ``gamma_table`` build this system, as the paper's forms and a test
+    oracle.  ``gamma_known`` is gamma from the stable sweep: the anchors of
+    later segments read it, and it is the stored gamma.
     """
 
-    def __init__(self, bd, bu, bz, bw, hi, gamma_known=None):
+    def __init__(self, bd, bu, bz, bw, hi, gamma_known):
         self.bd, self.bu, self.bz, self.bw, self.hi = bd, bu, bz, bw, hi
         self.rho = np.zeros(hi + 1)
         self.eta = np.zeros(hi + 1)
@@ -167,7 +171,7 @@ class _AffineGammaSystem:
         self.anchors: list[int] = []
         self.anchor_values: list[float] = []
         self.zero_set = tuple(int(i) for i in range(1, hi + 1) if bd[i] == 0.0)
-        self._gamma_known = gamma_known  # optional stable values (zero-block tail)
+        self._gamma_known = gamma_known
         self._solve()
 
     # running state: (r1, r2, e1, e2) = scaled (rho_{j-1}, rho_{j-2}, eta_*),
@@ -240,13 +244,7 @@ class _AffineGammaSystem:
 
     def _finish_segment(self, a: int, end: int, ga: float):
         self.anchor_values.append(float(ga))
-        if self._gamma_known is not None:
-            self.gamma[a:end + 1] = self._gamma_known[a:end + 1]
-            return
-        self.gamma[a] = ga
-        # affine evaluation; adequate for the segment lengths this path serves
-        for t in range(a + 1, end + 1):
-            self.gamma[t] = self.rho[t] * ga + self.eta[t]
+        self.gamma[a:end + 1] = self._gamma_known[a:end + 1]
 
 
 def rho_eta(m: StructuredMatrix, up_to: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +267,7 @@ def gamma_table(m: StructuredMatrix, up_to: int, tol: float = 1e-12) -> GammaTab
         bd, bu, bz, bw = _window(m, hi)
         horizon = _bu_horizon(bu, hi)
         eff = hi if horizon is None else horizon
-        gam = _gamma_stable_finite(bd, bu, bz, bw, hi, horizon)
+        gam = _gamma_sweep(bd, bu, bz, horizon)
         sysm = _AffineGammaSystem(bd[:eff + 1], bu[:eff + 1], bz[:eff + 1],
                                   bw[:eff + 1], eff, gamma_known=gam)
         rho = np.zeros(hi + 1)
@@ -308,12 +306,14 @@ def gamma_table(m: StructuredMatrix, up_to: int, tol: float = 1e-12) -> GammaTab
 
 
 def gamma1(m: StructuredMatrix, tol: float = 1e-12) -> float:
-    """The ratio c(0,1)/c(0,0) via the normalization-sum formula.
+    """The ratio c(0,1)/c(0,0), the first ratio of the stable row-0 sweep.
 
-    Finite extent evaluates the sums up to the final index exactly.  Infinite
-    extent evaluates them at truncation levels 64, 128, 256, ... and stops
-    once two successive estimates agree to ``tol`` relative; raises
-    NoConvergence if 2**20 is reached without stabilizing.
+    Finite extent sweeps back from the final index (or from the first
+    bu = 0 cut), which is exact.  Infinite extent sweeps from truncation
+    levels 64, 128, 256, ... and stops once two successive estimates agree
+    to ``tol`` relative; raises NoConvergence if 2**20 is reached without
+    stabilizing.  The paper's Prop-3 normalization-sum form of the same
+    value is ``gamma_table(m, 1).anchor_values[0]``, kept as an oracle.
     """
     if m.is_finite:
         return _gamma1_at_level(m, m.last)
@@ -341,57 +341,50 @@ def _gamma1_infinite_level(m: StructuredMatrix, win: _Window, level: int):
 
 
 def _gamma1_at_level(m: StructuredMatrix, level: int, window=None) -> float:
-    """gamma1 from the sums truncated at ``level``; ``window`` is
+    """gamma1 of the sweep truncated at ``level``; ``window`` is
     ``_window(m, level)`` when the caller has realized it already."""
-    bd, bu, bz, bw = _window(m, level) if window is None else window
+    bd, bu, bz, _ = _window(m, level) if window is None else window
     horizon = _bu_horizon(bu, m.last if m.is_finite else None)
     eff = level if horizon is None else min(level, horizon)
     if eff < 1:
         return 0.0  # bu[0] = 0: row 0 of the inverse is (c00, 0, 0, ...)
-    # anchors need gamma values of already-closed segments: stable sweep
-    gam = _gamma_ratio_sweep(bd[:eff + 1], bu[:eff + 1], bw[:eff + 1], eff)
-    sysm = _AffineGammaSystem(bd[:eff + 1], bu[:eff + 1], bz[:eff + 1],
-                              bw[:eff + 1], eff, gamma_known=gam)
-    vals = dict(zip(sysm.anchors, sysm.anchor_values))
-    if 1 in vals:
-        return vals[1]
-    return sysm.gamma[1]
+    return float(_row0_ratios(bd, bu, bz, eff)[1])
 
 
 # ---------------------------------------------------------------------------
 # stable evaluation sweeps
 # ---------------------------------------------------------------------------
 
-def _gamma_ratio_sweep(bd, bu, bw, hi) -> np.ndarray:
-    """Row-0 ratios by the backward ratio recursion (stable direction).
+def _row0_ratios(bd, bu, bz, hi) -> np.ndarray:
+    """Over-diagonal ratios u[l] = c(i,l)/c(i,l-1) over the window; u[0] = 1.
 
-    Index hi acts as the boundary: the final row of a finite matrix, a
-    bu = 0 cut (both exact), or an adaptive truncation point.  gamma is the
-    running product of the ratios u[j] = gamma_j / gamma_{j-1}.
+    They are row 0's ratios gamma_l/gamma_{l-1} too.  Index hi acts as the
+    boundary: the final row of a finite matrix, a bu = 0 cut (both exact;
+    past a cut row 0 is zero, so u is 0 there), or a truncation point.
+    The backward pivot bw[l] - bd[l+1]*u[l+1] is carried as
+    (bd[l] + bz[l]) + e, its surplus e = bu[l] - bd[l+1]*u[l+1] updated as
+    u[l+1]*(bz[l+1] + e): every operand is nonnegative, nothing cancels,
+    and a zero pivot means B is singular.
     """
-    u = np.empty(hi + 1)
-    u[0] = 1.0
-    if hi == 0:
-        return u
+    u = bd + bz  # each u[l] holds bd + bz until its ratio overwrites it
+    u[0], u[hi + 1:] = 1.0, 0.0
     # memoryviews hand out Python floats: the loop does no NumPy scalar work
-    d, up, w, uv = memoryview(bd), memoryview(bu), memoryview(bw), memoryview(u)
-    nxt = uv[hi] = up[hi - 1] / w[hi]
-    for l in range(hi - 1, 0, -1):
-        den = w[l] - d[l + 1] * nxt
-        if den <= 0.0:
-            raise ZeroDenominator(
-                f"row-0 ratio denominator vanished at index {l}")
-        nxt = uv[l] = up[l - 1] / den
+    up, z, uv = memoryview(bu), memoryview(bz), memoryview(u)
+    e = up[hi]
+    for l in range(hi, 0, -1):
+        d2 = uv[l] + e
+        if d2 <= 0.0:
+            raise ZeroDenominator(f"row-0 ratio pivot vanished at index {l}")
+        r = uv[l] = up[l - 1] / d2
+        e = r * (z[l] + e)
+    return u
+
+
+def _gamma_sweep(bd, bu, bz, horizon) -> np.ndarray:
+    """gamma over the window, the running product of the row-0 ratios; a
+    bu = 0 ``horizon`` is the boundary, else the window's last index."""
+    u = _row0_ratios(bd, bu, bz, len(bd) - 1 if horizon is None else horizon)
     return np.cumprod(u, out=u)
-
-
-def _gamma_stable_finite(bd, bu, bz, bw, last, horizon) -> np.ndarray:
-    eff = last if horizon is None else horizon
-    gam = np.zeros(last + 1)
-    gam[0] = 1.0
-    if eff >= 1:
-        gam[: eff + 1] = _gamma_ratio_sweep(bd, bu, bw, eff)
-    return gam
 
 
 def _gamma_stable_infinite(win: _Window, up_to: int, tol: float, full: bool = False):
@@ -421,23 +414,22 @@ def _sweep_level(win: _Window, level: int):
     """(gamma over 0..level, whether a bu = 0 cut made it exact).
 
     The window's views die on return, before the next level grows it."""
-    bd, bu, bz, bw = win.upto(level)
+    bd, bu, bz, _ = win.upto(level)
     horizon = _bu_horizon(bu, None)
-    if horizon is not None:
-        return _gamma_stable_finite(bd, bu, bz, bw, level, horizon), True
-    return _gamma_ratio_sweep(bd, bu, bw, level), False
+    return _gamma_sweep(bd, bu, bz, horizon), horizon is not None
 
 
 class _Engine:
     """Sweep coefficients for one rate window, its last index the boundary.
 
-    All four tables are single backward passes over the band:
-
+    * ``b_ov[l]``: over-diagonal ratio, so row entries obey
+      c(i, l) = b_ov[l]*c(i, l-1); row 0 uses the same ratios
+      (``_row0_ratios``).
     * ``b_un[r]``, ``d_un[r]``: under-diagonal ratio and pivot, so that
       within column s the entries obey x_r = c(0,s)*a2[r] + b_un[r]*x_{r-1}.
+      The pivot bw[r] - bu[r]*b_un[r+1] is carried as bd[r] + h, its surplus
+      updated as h = bz[r] + bu[r]*h/d_un[r+1]: no subtraction.
     * ``a2[r]``: the column-0-driven particular part shared by all columns.
-    * ``b_ov[l]``: over-diagonal ratio, so row entries obey
-      c(i, l) = b_ov[l]*c(i, l-1); row 0 uses the same ratios.
     """
 
     def __init__(self, rates):
@@ -447,30 +439,25 @@ class _Engine:
         self.b_un = np.zeros(n1)
         self.d_un = np.zeros(n1)
         self.a2 = np.zeros(n1)
-        self.b_ov = np.zeros(n1)
+        self.b_ov = _row0_ratios(bd, bu, bz, hi)
         self.coeff_ops = 0
         if hi == 0:
             return
         d, up, z, w = (memoryview(a) for a in (bd, bu, bz, bw))
-        b_un, d_un, a2, b_ov = (memoryview(a) for a in
-                                (self.b_un, self.d_un, self.a2, self.b_ov))
+        b_un, d_un, a2 = (memoryview(a) for a in (self.b_un, self.d_un, self.a2))
         # B(r, 0) is bz[r] (+ bd[1] on row 1); the subdiagonal bd[r] starts at row 2
-        d_un[hi] = w[hi]
-        bun = b_un[hi] = (d[hi] if hi >= 2 else 0.0) / w[hi]
-        aa = a2[hi] = (z[hi] + (d[1] if hi == 1 else 0.0)) / w[hi]
-        bov = b_ov[hi] = up[hi - 1] / w[hi]
+        dd = d_un[hi] = w[hi]
+        h = z[hi] + up[hi]
+        b_un[hi] = (d[hi] if hi >= 2 else 0.0) / dd
+        aa = a2[hi] = (z[hi] + (d[1] if hi == 1 else 0.0)) / dd
         for r in range(hi - 1, 0, -1):
             ur = up[r]
-            dd = w[r] - ur * bun
+            h = z[r] + ur * h / dd
+            dd = d_un[r] = d[r] + h
             if dd <= 0.0:
                 raise ShiftUnresolvable(r, f"under-diagonal pivot vanished at row {r}")
-            d_un[r] = dd
-            bun = b_un[r] = (d[r] if r >= 2 else 0.0) / dd
+            b_un[r] = (d[r] if r >= 2 else 0.0) / dd
             aa = a2[r] = (z[r] + (d[1] if r == 1 else 0.0) + ur * aa) / dd
-            d2 = w[r] - d[r + 1] * bov
-            if d2 <= 0.0:
-                raise ShiftUnresolvable(r, f"over-diagonal pivot vanished at column {r}")
-            bov = b_ov[r] = up[r - 1] / d2
         self.coeff_ops = 4 * hi
 
 
@@ -481,7 +468,7 @@ def _generators(engine: _Engine, c00: float, n: int):
     first-order recursion c(s,s) = c(0,s)*a2[s] - 1/d_un[s]
     + b_un[s]*(b_ov[s]*c(s-1,s-1)), whose last factor is c(s-1, s).
     """
-    gam = np.cumprod(np.r_[1.0, engine.b_ov[1:n]])
+    gam = np.cumprod(engine.b_ov[:n])
     row0 = gam * c00
     head = (row0[1:n] * engine.a2[1:n] - 1.0 / engine.d_un[1:n]).tolist()
     diag = [c00]

@@ -349,14 +349,14 @@ def _sorted_spectrum(lam: np.ndarray) -> Spectrum:
 
 
 def multiset_gap(a, b) -> float:
-    """Greedy nearest-neighbor multiset distance between eigenvalue lists."""
+    """Greedy nearest-neighbor multiset distance between eigenvalue lists;
+    NaN when a NaN takes part in a pairing."""
     rem = [complex(x) for x in b]
-    worst = 0.0
+    gaps = []
     for x in a:
         k = min(range(len(rem)), key=lambda t: abs(complex(x) - rem[t]))
-        worst = max(worst, abs(complex(x) - rem[k]))
-        rem.pop(k)
-    return worst
+        gaps.append(abs(complex(x) - rem.pop(k)))
+    return float(np.max(gaps, initial=0.0))
 
 
 def _gershgorin(m: StructuredMatrix):
@@ -378,7 +378,7 @@ def _sign_condition(first: np.ndarray, kept) -> Optional[bool]:
     vals = np.asarray([first[j] for j in kept])
     if len(vals) == 0:
         return True
-    if np.any(np.abs(vals.imag) > 0):
+    if not np.all(np.isfinite(vals)) or np.any(np.abs(vals.imag) > 0):
         return None
     signs = np.sign(vals.real)
     if np.any(signs == 0.0):

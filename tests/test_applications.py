@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +21,7 @@ from tricol.applications import (
 from tricol.errors import (
     NoConvergence,
     NotNormalizable,
+    NumericalError,
     ShapeMismatch,
     SingularMatrix,
     ValidationError,
@@ -142,6 +144,42 @@ class TestSteadyStateStableSweep:
         monkeypatch.setattr(general, "MAX_LEVEL", 256)
         with pytest.raises((NoConvergence, NotNormalizable), match="level 256"):
             steady_state(null)
+
+
+def detailed_balance_pi(Q: BandSpec) -> np.ndarray:
+    """50-digit stationary vector of a birth-and-death chain (bz = 0):
+    pi_j is proportional to prod_{k <= j} qu[k-1]/qd[k]."""
+    with mpmath.workdps(50):
+        g = [mpmath.mpf(1)]
+        for up, down in zip(Q.up[:-1], Q.down[1:]):
+            g.append(g[-1] * mpmath.mpf(float(up)) / mpmath.mpf(float(down)))
+        total = mpmath.fsum(g)
+        return np.array([float(x / total) for x in g])
+
+
+class TestSteadyStateSurplusSweep:
+    """The surplus form of the ratio sweep forms no pivot by subtraction, so
+    birth-and-death chains keep entrywise relative accuracy at any length."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("n", [1000, 2000, 5000])
+    def test_band_only_chain_matches_detailed_balance(self, n, seed):
+        Q = random_generator(np.random.default_rng(seed), n, band_only=True)
+        want = detailed_balance_pi(Q)
+        assert np.max(np.abs(steady_state(Q).pi / want - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_transient_state_zero_raises(self, seed):
+        # qd[1200] = 0 closes states 1200.. into a class without state 0:
+        # B is singular, and both solvers meet an exactly zero pivot
+        Q = random_generator(np.random.default_rng(seed), 2000, band_only=True)
+        qd = Q.down.copy()
+        qd[1200] = 0.0
+        Q = BandSpec.finite(qd, Q.up, Q.tozero)
+        with pytest.raises(NumericalError):
+            steady_state(Q)
+        with pytest.raises(NumericalError):
+            invert(_shifted_matrix(Q))
 
 
 class TestAbsorbingBD:

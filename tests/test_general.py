@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from tricol.errors import OutOfRange, ValidationError
@@ -413,6 +414,20 @@ class TestErrorPaths:
                                      [0.0, 0.0, 0.0]))
         with pytest.raises((ShiftUnresolvable, ZeroDenominator)):
             invert(m)
+
+
+class TestBandOnlyInverse:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bz_zero_inverse_residual(self, seed):
+        # with bz = 0 a pivot formed by subtraction cancels at every step and
+        # loses a factor bu/bd; the surplus form keeps BC = I to rounding
+        rng = np.random.default_rng(seed)
+        bd, bu, _ = random_rates(rng, 2000)
+        bz = np.zeros(2000)
+        C = invert(validate(BandSpec.finite(bd, bu, bz))).block()
+        BC = scipy.sparse.csr_matrix(build_dense(bd, bu, bz)) @ C
+        BC[np.diag_indices(2000)] -= 1.0
+        assert np.max(np.abs(BC)) <= 1e-13 * np.max(np.abs(C))
 
 
 class TestPartialBlocks:

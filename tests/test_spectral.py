@@ -329,6 +329,18 @@ class TestMultisetGap:
         b = np.array([-1.0 + 0.5j, -1.0 - 0.5j])
         assert multiset_gap(a, b) == 0.0
 
+    @pytest.mark.parametrize("a,b", [([1.0, np.nan], [1.0, 2.0]),
+                                     ([1.0, 2.0], [np.nan, 1.0])])
+    def test_nan_propagates(self, a, b):
+        assert np.isnan(multiset_gap(a, b))
+
+
+class TestSignCondition:
+    @pytest.mark.parametrize("first", [[np.nan, -1.0, 1.0], [-1.0, 1.0, np.nan]])
+    def test_nan_first_component_has_no_verdict(self, first):
+        from tricol.spectral import _sign_condition
+        assert _sign_condition(np.asarray(first, dtype=complex), range(3)) is None
+
 
 class TestResonance:
     def test_resonant_alpha_rejected(self):
