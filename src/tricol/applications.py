@@ -125,9 +125,9 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
     Q = _check_generator(Q)
     m = _shifted_matrix(Q)
     if m.is_finite:
-        bd, bu, bz, _ = _window(m, m.last)
-        gam = _gamma_sweep(bd, bu, bz, _bu_horizon(bu, m.last))
-        return _normalize_pi(Q, gam, None, tol)
+        window = _window(m, m.last)
+        gam = _gamma_sweep(*window[:3], _bu_horizon(window[1], m.last))
+        return _normalize_pi(Q, gam, None, tol, window)
     win = _Window(m)  # one realization of each index for every level below
     level = general.LEVEL0
     prev_total = None
@@ -148,26 +148,27 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
 def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> StationaryResult:
     """pi = gam / sum(gam) and max |pi Q| over the columns pi fixes.
 
-    An infinite chain reads ``window``, the shifted matrix's rates over
-    0..level: only qd[2:], qu and qw[1:] enter, which the shift leaves alone.
+    ``window`` is (qd, qu, qz, qw) over gam's indices: the shifted matrix's
+    rates as ``steady_state`` realized them or, when None, a finite Q's own.
+    The shift changes only qd[0] and qw[0], which no column reads: column 0
+    takes qd[0] + qu[0] as qu[0] (``_check_generator`` makes qd[0] = 0).
     """
     total = float(np.sum(gam))
     if not math.isfinite(total) or total <= 0.0:
         raise NotNormalizable(f"total mass {total}")
     pi = gam / total
     n = len(pi)
+    if window is None:
+        qd, qu, qz = Q.rates(Q.last)
+        window = qd, qu, qz, qd + qu + qz
+    qd, qu, qz, qw = window
     worst = 0.0
     if Q.is_finite:
-        qd, qu, qz = (np.asarray(Q.down, dtype=float), np.asarray(Q.up, dtype=float),
-                      np.asarray(Q.tozero, dtype=float))
-        qw = qd + qu + qz
         # column 0 of pi Q
-        col0 = -(qd[0] + qu[0]) * pi[0]
+        col0 = -qu[0] * pi[0]
         if n > 1:
             col0 += (qd[1] + qz[1]) * pi[1] + float(np.dot(qz[2:n], pi[2:n]))
         worst = abs(col0)
-    else:
-        qd, qu, _, qw = window
     # columns j = 1..hi-1: qu[j-1] pi[j-1] - qw[j] pi[j] + qd[j+1] pi[j+1]
     hi = n if Q.is_finite else n - 1
     v = qu[: hi - 1] * pi[: hi - 1] - qw[1:hi] * pi[1:hi]

@@ -35,7 +35,8 @@ class BadFinalRow(ValidationError):
 
 
 class ShapeMismatch(ValidationError):
-    """Input does not have the required absorbing birth-and-death shape."""
+    """Input does not have the required shape: an absorbing birth-and-death
+    chain, a band + column-0 generator, or equal-length eigenvalue lists."""
 
 
 class BandProductNonpositive(ValidationError):

@@ -14,7 +14,11 @@ beyond a few dozen indices).  As in the Grassmann-Taksar-Heyman algorithm,
 each sweep carries its pivot's nonnegative surplus, so no pivot is formed by
 subtraction and the ratios are entrywise relatively accurate.  One routine
 yields the over-diagonal ratios, which are also row 0's: gamma, gamma1 and
-the inverse all read it.  Dense blocks are exported by one vectorized routine.
+the inverse all read it.  On windows of 2048 indices or more it composes
+each block's steps into one nonnegative Moebius map (Stone's recursive
+doubling), chains the block maps, and then runs the exact step over all
+blocks at once, so the sweep costs O(sqrt(n)) interpreted steps instead of
+n.  Dense blocks are exported by one vectorized routine.
 
 The affine pairs (rho_j, eta_j) of the row-0 system, the segment anchors
 used when some bd[i] = 0 and the Prop-3 normalization are the paper's forms;
@@ -46,6 +50,14 @@ MAX_LEVEL = 1 << 20
 
 #: Magnitude at which running rho/eta accumulators are rescaled.
 _RESCALE_AT = 1e250
+
+#: Ratio windows from this many indices on run the blocked sweep, in blocks
+#: of max(8, int(_BLOCK_SCALE*sqrt(hi))) indices.
+_BLOCKED_FROM = 2048
+_BLOCK_SCALE = 0.19
+#: Relative gap between a block's exact end surplus and the composite start
+#: value of the block below beyond which the scalar loop redoes the blocks.
+_BLOCK_MISMATCH = 1e-13
 
 
 @dataclass
@@ -365,19 +377,91 @@ def _row0_ratios(bd, bu, bz, hi) -> np.ndarray:
     (bd[l] + bz[l]) + e, its surplus e = bu[l] - bd[l+1]*u[l+1] updated as
     u[l+1]*(bz[l+1] + e): every operand is nonnegative, nothing cancels,
     and a zero pivot means B is singular.
+
+    From ``_BLOCKED_FROM`` indices on, the scalar loop runs only over the
+    top hi - nb*k indices and ``_blocked_sweep`` over the nb blocks of k
+    below; if that fails, the scalar loop redoes the blocks, so results and
+    ZeroDenominator messages are those of a scalar sweep of the window.
     """
     u = bd + bz  # each u[l] holds bd + bz until its ratio overwrites it
     u[0], u[hi + 1:] = 1.0, 0.0
+    k = max(8, int(_BLOCK_SCALE * math.sqrt(hi)))
+    low = (hi // k) * k if hi >= _BLOCKED_FROM else 0
+    e = _ratio_loop(u, bu, bz, hi, low, float(bu[hi]))
+    if low and not _blocked_sweep(u, bu, bz, low // k, k, e):
+        np.add(bd[1:low + 1], bz[1:low + 1], out=u[1:low + 1])
+        _ratio_loop(u, bu, bz, low, 0, e)
+    return u
+
+
+def _ratio_loop(u, bu, bz, hi, lo, e) -> float:
+    """The scalar sweep over indices hi..lo+1 from surplus ``e``, writing the
+    ratios over u's bd + bz; returns the surplus it leaves at index lo."""
     # memoryviews hand out Python floats: the loop does no NumPy scalar work
     up, z, uv = memoryview(bu), memoryview(bz), memoryview(u)
-    e = up[hi]
-    for l in range(hi, 0, -1):
+    for l in range(hi, lo, -1):
         d2 = uv[l] + e
         if d2 <= 0.0:
             raise ZeroDenominator(f"row-0 ratio pivot vanished at index {l}")
         r = uv[l] = up[l - 1] / d2
         e = r * (z[l] + e)
-    return u
+    return e
+
+
+def _blocked_sweep(u, bu, bz, nb, k, e) -> bool:
+    """The sweep over indices nb*k..1 in nb blocks of k, from surplus ``e``.
+
+    Step l maps e to bu[l-1]*(bz[l] + e)/((bd[l] + bz[l]) + e), the Moebius
+    map of the nonnegative matrix [[bu[l-1], bu[l-1]*bz[l]], [1, bd[l] + bz[l]]]
+    (Stone's recursive doubling, J. ACM 20, 1973).  Pass 1 composes each
+    block's k maps, all blocks at once, rescaling the denominator row to
+    sum 1; pass 2 chains the nb composites to find the surplus entering
+    each block; pass 3 runs the scalar step's operations in the same order
+    on every block at once.  A map's relative sensitivity
+    e*bd/((bz + e)(bd + bz + e)) lies in [0, 1), so the O(k eps) error of a
+    start value does not grow.  Returns False, leaving u partly written,
+    when a pivot is not positive or a block's exact sweep misses the
+    composite start value of the block below by more than
+    ``_BLOCK_MISMATCH`` relative (overflow, underflow, a zero pivot).
+    """
+    n = nb * k
+    S = u[1:n + 1].reshape(nb, k)  # bd + bz, overwritten by the ratios
+    U = bu[:n].reshape(nb, k)      # U[:, j] = bu[l - 1] for l = S's index
+    Z = bz[1:n + 1].reshape(nb, k)
+    with np.errstate(all="ignore"):
+        num = np.zeros((2, nb))    # each block's numerator row (a, b)
+        den = np.zeros((2, nb))    # and denominator row (c, d), c + d = 1
+        num[0] = den[1] = 1.0
+        t = np.empty((2, nb))
+        for j in range(k - 1, -1, -1):
+            np.multiply(den, Z[:, j], out=t)
+            t += num
+            t *= U[:, j]
+            den *= S[:, j]
+            den += num
+            num, t = t, num
+            s = den[0] + den[1]
+            num /= s
+            den /= s
+        start = np.empty(nb)
+        a, b, c, d, sv = (memoryview(x) for x in (num[0], num[1], den[0], den[1], start))
+        sv[nb - 1] = e
+        try:
+            for i in range(nb - 1, 0, -1):
+                e = sv[i - 1] = (a[i] * e + b[i]) / (c[i] * e + d[i])
+        except ZeroDivisionError:
+            return False  # a zero pivot inside block i, or an underflow
+        e = start.copy()
+        d2 = np.empty(nb)
+        dmin = np.full(nb, np.inf)
+        for j in range(k - 1, -1, -1):
+            np.add(S[:, j], e, out=d2)
+            np.minimum(dmin, d2, out=dmin)
+            r = np.divide(U[:, j], d2, out=S[:, j])
+            e += Z[:, j]
+            e *= r
+        gap = np.abs(e[1:] - start[:-1])
+        return bool(dmin.min() > 0.0 and np.all(gap <= _BLOCK_MISMATCH * e[1:]))
 
 
 def _gamma_sweep(bd, bu, bz, horizon) -> np.ndarray:

@@ -31,6 +31,7 @@ from .errors import (
     IterationStall,
     NoRootFound,
     ResonantAlpha,
+    ShapeMismatch,
 )
 from .model import StructuredMatrix, decompose
 
@@ -350,8 +351,11 @@ def _sorted_spectrum(lam: np.ndarray) -> Spectrum:
 
 def multiset_gap(a, b) -> float:
     """Greedy nearest-neighbor multiset distance between eigenvalue lists;
-    NaN when a NaN takes part in a pairing."""
+    NaN when a NaN takes part in a pairing.  Lists of different lengths
+    raise ShapeMismatch: some value would stay unpaired."""
     rem = [complex(x) for x in b]
+    if len(rem) != len(a):
+        raise ShapeMismatch(f"eigenvalue lists of lengths {len(a)} and {len(rem)}")
     gaps = []
     for x in a:
         k = min(range(len(rem)), key=lambda t: abs(complex(x) - rem[t]))

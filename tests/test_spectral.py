@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tricol.errors import BandProductNonpositive
+from tricol.errors import BandProductNonpositive, ShapeMismatch
 from tricol.model import BandSpec, validate
 from tricol.spectral import (
     Spectrum,
@@ -333,6 +333,11 @@ class TestMultisetGap:
                                      ([1.0, 2.0], [np.nan, 1.0])])
     def test_nan_propagates(self, a, b):
         assert np.isnan(multiset_gap(a, b))
+
+    @pytest.mark.parametrize("a,b", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 5.0])])
+    def test_unequal_lengths_raise(self, a, b):
+        with pytest.raises(ShapeMismatch):
+            multiset_gap(a, b)
 
 
 class TestSignCondition:
