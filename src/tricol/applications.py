@@ -21,6 +21,7 @@ from scipy.linalg.lapack import dgtsv
 from . import general
 from .errors import (
     InfiniteExtent,
+    NoConvergence,
     NotNormalizable,
     ShapeMismatch,
     SingularMatrix,
@@ -31,7 +32,6 @@ from .general import (
     InverseView,
     _Window,
     _bu_horizon,
-    _gamma_stable_infinite,
     _gamma_sweep,
     _window,
     invert as general_invert,
@@ -64,26 +64,27 @@ class ValueResult:
 # ---------------------------------------------------------------------------
 
 def generator_from_dense(Q: np.ndarray) -> BandSpec:
-    """Read a dense conservative generator in band + first-column shape."""
-    Q = np.asarray(Q, dtype=float)
+    """Read a dense conservative generator in band + first-column shape; the
+    first faulty row raises its sum error before its off-band entry."""
+    Q = np.ascontiguousarray(Q, dtype=float)
     n = Q.shape[0]
     if Q.shape != (n, n):
         raise ValidationError("generator must be square")
-    for i in range(n):
-        if abs(Q[i].sum()) > 1e-12 * max(1.0, float(np.max(np.abs(Q[i])))):
-            raise ValidationError(f"row {i} of Q does not sum to zero")
-        for j in range(1, n):
-            if j != i and abs(i - j) > 1 and Q[i, j] != 0.0:
-                raise ShapeMismatch(f"entry ({i}, {j}) outside band + column 0")
-    qu = np.array([Q[i, i + 1] for i in range(n - 1)] + [0.0])
-    qd = np.zeros(n)
-    qz = np.zeros(n)
+    scale = np.maximum(np.max(Q, axis=1, initial=1.0), -np.min(Q, axis=1, initial=0.0))
+    unbalanced = np.abs(Q.sum(axis=1)) > 1e-12 * scale  # a NaN sum is left to validate()
+    outside = (Q != 0.0) & (np.tri(n, k=-2, dtype=bool) | ~np.tri(n, k=1, dtype=bool))
+    outside[:, :1] = False
+    faulty = np.flatnonzero(unbalanced | outside.any(axis=1))
+    if faulty.size and unbalanced[faulty[0]]:
+        raise ValidationError(f"row {faulty[0]} of Q does not sum to zero")
+    if faulty.size:
+        i = faulty[0]
+        raise ShapeMismatch(f"entry ({i}, {np.argmax(outside[i])}) outside band + column 0")
+    qd, qz = np.zeros(n), np.zeros(n)
     if n > 1:
-        qd[1] = Q[1, 0]
-        for i in range(2, n):
-            qd[i] = Q[i, i - 1]
-            qz[i] = Q[i, 0]
-    return BandSpec.finite(qd, qu, qz)
+        qd[1:] = np.diagonal(Q, -1)
+        qz[2:] = Q[2:, 0]
+    return BandSpec.finite(qd, np.append(np.diagonal(Q, 1), 0.0), qz)
 
 
 def _check_generator(Q: BandSpec) -> BandSpec:
@@ -116,9 +117,13 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
     """Stationary distribution of a conservative generator.
 
     Computed as row 0 of the inverse of the shifted matrix, normalized;
-    the full inverse is never materialized.  Infinite chains are normalized
-    over the adaptive truncation level, with a geometric tail bound when the
-    tail is declared homogeneous.
+    the full inverse is never materialized.  An infinite chain is normalized
+    over the first level L = LEVEL0, 2*LEVEL0, ... whose mass agrees with
+    level L/2's and whose gamma_L is at most ``tol`` of it, with a geometric
+    tail bound when the tail is declared homogeneous.  One loop sweeps
+    K = 2*LEVEL0, 4*LEVEL0, ...; each sweep serves in order every level L
+    with 2L <= K that it makes exact (a bu = 0 cut) or, from K = 4L on,
+    whose gamma over 0..L has settled against sweep K/2's.
     """
     if isinstance(Q, np.ndarray):
         Q = generator_from_dense(Q)
@@ -128,21 +133,26 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
         window = _window(m, m.last)
         gam = _gamma_sweep(*window[:3], _bu_horizon(window[1], m.last))
         return _normalize_pi(Q, gam, None, tol, window)
-    win = _Window(m)  # one realization of each index for every level below
-    level = general.LEVEL0
-    prev_total = None
-    while level <= general.MAX_LEVEL:
-        gam = _gamma_stable_infinite(win, level, tol)[0]
-        total = float(np.sum(gam))
-        if prev_total is not None and abs(total - prev_total) <= tol * total \
-                and gam[-1] <= tol * total:
-            res = _normalize_pi(Q, gam, level, tol, win.upto(level))
-            res.tail_bound = _tail_bound(Q, gam, total)
-            return res
-        prev_total = total
-        level *= 2
-    raise NotNormalizable(
-        f"stationary mass did not stabilize by level {general.MAX_LEVEL}")
+    win = _Window(m)  # one realization of each index for every sweep below
+    level, sweep = general.LEVEL0, 2 * general.LEVEL0
+    prev = prev_total = None
+    while sweep <= general.MAX_LEVEL:
+        gam, cut = general._sweep_level(win, sweep)
+        while 2 * level <= sweep and (cut or 4 * level <= sweep and general._settled(
+                gam[: level + 1], prev[: level + 1], tol) is not None):
+            total = float(np.sum(gam[: level + 1]))
+            if prev_total is not None and abs(total - prev_total) <= tol * total \
+                    and gam[level] <= tol * total:
+                res = _normalize_pi(Q, gam[: level + 1], level, tol, win.upto(level))
+                res.tail_bound = _tail_bound(Q, gam[: level + 1], total)
+                return res
+            prev_total = total
+            level *= 2
+        sweep *= 2
+        # sweep K reads gamma over 0..K/4 of the one before, which dies here
+        prev = gam[: sweep // 4 + 1].copy() if sweep <= general.MAX_LEVEL else None
+        del gam
+    raise NoConvergence(f"row-0 ratios did not stabilize by level {general.MAX_LEVEL}")
 
 
 def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> StationaryResult:

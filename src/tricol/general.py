@@ -18,7 +18,8 @@ the inverse all read it.  On windows of 2048 indices or more it composes
 each block's steps into one nonnegative Moebius map (Stone's recursive
 doubling), chains the block maps, and then runs the exact step over all
 blocks at once, so the sweep costs O(sqrt(n)) interpreted steps instead of
-n.  Dense blocks are exported by one vectorized routine.
+n.  Dense blocks are exported by one vectorized routine, and one doubling
+loop, ``_doubling``, certifies every infinite-extent result.
 
 The affine pairs (rho_j, eta_j) of the row-0 system, the segment anchors
 used when some bd[i] = 0 and the Prop-3 normalization are the paper's forms;
@@ -295,7 +296,7 @@ def gamma_table(m: StructuredMatrix, up_to: int, tol: float = 1e-12) -> GammaTab
             anchor_values=tuple(sysm.anchor_values), horizon=horizon, hi=up_to)
 
     win = _Window(m)
-    gam_full, level, _ = _gamma_stable_infinite(win, up_to, tol, full=True)
+    gam_full, level, _ = _gamma_stable_infinite(win, up_to, tol)
     bd, bu, bz, bw = win.upto(level)
     horizon = _bu_horizon(bu, None)
     eff = level if horizon is None else min(level, horizon)
@@ -321,41 +322,20 @@ def gamma1(m: StructuredMatrix, tol: float = 1e-12) -> float:
     """The ratio c(0,1)/c(0,0), the first ratio of the stable row-0 sweep.
 
     Finite extent sweeps back from the final index (or from the first
-    bu = 0 cut), which is exact.  Infinite extent sweeps from truncation
-    levels 64, 128, 256, ... and stops once two successive estimates agree
-    to ``tol`` relative; raises NoConvergence if 2**20 is reached without
-    stabilizing.  The paper's Prop-3 normalization-sum form of the same
-    value is ``gamma_table(m, 1).anchor_values[0]``, kept as an oracle.
+    bu = 0 cut), which is exact.  Infinite extent reads gamma over 0..1
+    from truncation levels 64, 128, 256, ... until two successive levels
+    agree to ``tol`` relative; raises NoConvergence past 2**20.  The paper's
+    Prop-3 normalization-sum form of the same value is
+    ``gamma_table(m, 1).anchor_values[0]``, kept as an oracle.
     """
     if m.is_finite:
         return _gamma1_at_level(m, m.last)
-    win = _Window(m)
-    prev = None
-    level = LEVEL0
-    while level <= MAX_LEVEL:
-        val, cut = _gamma1_infinite_level(m, win, level)
-        if cut:
-            return val  # a bu = 0 cut inside the window makes the sums exact
-        if prev is not None and math.isfinite(val):
-            if abs(val - prev) <= tol * max(1.0, abs(val)):
-                return val
-        prev = val
-        level *= 2
-    raise NoConvergence(f"gamma1 did not stabilize by level {MAX_LEVEL}")
+    return float(_gamma_stable_infinite(_Window(m), 1, tol, "gamma1")[0][1])
 
 
-def _gamma1_infinite_level(m: StructuredMatrix, win: _Window, level: int):
-    """(gamma1 at ``level``, whether a bu = 0 cut lies inside the window).
-
-    The window's views die on return, before the next level grows it."""
-    window = win.upto(level)
-    return _gamma1_at_level(m, level, window), _bu_horizon(window[1], None) is not None
-
-
-def _gamma1_at_level(m: StructuredMatrix, level: int, window=None) -> float:
-    """gamma1 of the sweep truncated at ``level``; ``window`` is
-    ``_window(m, level)`` when the caller has realized it already."""
-    bd, bu, bz, _ = _window(m, level) if window is None else window
+def _gamma1_at_level(m: StructuredMatrix, level: int) -> float:
+    """gamma1 of the sweep truncated at ``level``."""
+    bd, bu, bz, _ = _window(m, level)
     horizon = _bu_horizon(bu, m.last if m.is_finite else None)
     eff = level if horizon is None else min(level, horizon)
     if eff < 1:
@@ -471,27 +451,42 @@ def _gamma_sweep(bd, bu, bz, horizon) -> np.ndarray:
     return np.cumprod(u, out=u)
 
 
-def _gamma_stable_infinite(win: _Window, up_to: int, tol: float, full: bool = False):
-    """(gamma, level, achieved) with doubling certification.
+def _settled(probe, prev, tol: float) -> Optional[float]:
+    """max |probe - prev| if it is at most tol*max(1, max |probe|), else None;
+    a non-finite difference (inf - inf included) never settles."""
+    with np.errstate(invalid="ignore"):
+        diff = float(np.max(np.abs(probe - prev)))
+    ok = math.isfinite(diff) and diff <= tol * max(1.0, float(np.max(np.abs(probe))))
+    return diff if ok else None
 
-    Returns gamma over 0..up_to, or over the whole certified level when
-    ``full`` is set.  ``win`` is the solve's window of the matrix, shared
-    with any doubling loop of the caller's own.
+
+def _doubling(evaluate, start: int, tol: float, what: str):
+    """(value, level, achieved) at the first level of start, 2*start, ...
+    that is exact or whose probe is ``_settled`` against the level before.
+
+    ``evaluate(level)`` returns (value, probe, exact).  Only the previous
+    probe is held across a level, so it must not view a larger array.
     """
-    level = max(LEVEL0, 2 * up_to)
-    prev = None
+    prev, level = None, start
     while level <= MAX_LEVEL:
-        gam, cut = _sweep_level(win, level)
-        if cut:
-            return (gam if full else gam[: up_to + 1]), level, 0.0
-        if prev is not None:
-            diff = float(np.max(np.abs(gam[: up_to + 1] - prev)))
-            if diff <= tol * max(1.0, float(np.max(np.abs(gam[: up_to + 1])))):
-                return (gam if full else gam[: up_to + 1]), level, diff
-        prev = gam[: up_to + 1].copy()
-        del gam  # the next, larger sweep need not hold this one alive
+        value, probe, exact = evaluate(level)
+        achieved = 0.0 if exact else (None if prev is None else _settled(probe, prev, tol))
+        if achieved is not None:
+            return value, level, achieved
+        prev, value = probe, None  # the next level need not hold this one alive
         level *= 2
-    raise NoConvergence(f"row-0 ratios did not stabilize by level {MAX_LEVEL}")
+    raise NoConvergence(f"{what} did not stabilize by level {MAX_LEVEL}")
+
+
+def _gamma_stable_infinite(win: _Window, up_to: int, tol: float, what: str = "row-0 ratios"):
+    """(gamma, level, achieved): gamma over the first level from
+    max(LEVEL0, 2*up_to) on, over the solve's window ``win``, that is exact
+    (a bu = 0 cut) or whose gamma over 0..up_to has settled."""
+    def evaluate(level):
+        gam, cut = _sweep_level(win, level)
+        return gam, gam[: up_to + 1].copy(), cut
+
+    return _doubling(evaluate, max(LEVEL0, 2 * up_to), tol, what)
 
 
 def _sweep_level(win: _Window, level: int):
@@ -661,24 +656,20 @@ class InverseView:
 
     def _certified_engine(self, n: int) -> _Engine:
         """Engine at the first doubling level whose n x n block has settled."""
-        level = max(LEVEL0, 2 * n, self.report.truncation_level or 0)
         win = _Window(self.matrix)
-        prev_block = None
-        while level <= MAX_LEVEL:
+
+        def evaluate(level):
             engine = _Engine(win.upto(level))
             _, row0, diag = _generators(engine, self.c00, n)
             block = _export_block(row0, diag, engine.b_ov, engine.b_un, engine.a2, n)
             self.report.coeff_ops += engine.coeff_ops
             self.report.entry_ops += 2 * n + n * n
-            if prev_block is not None:
-                diff = float(np.max(np.abs(block - prev_block)))
-                if diff <= self.tol * max(1.0, float(np.max(np.abs(block)))):
-                    self.report.truncation_level = level
-                    self.report.achieved = diff
-                    return engine
-            prev_block = block
-            level *= 2
-        raise NoConvergence(f"inverse block did not stabilize by level {MAX_LEVEL}")
+            return engine, block, False
+
+        start = max(LEVEL0, 2 * n, self.report.truncation_level or 0)
+        engine, self.report.truncation_level, self.report.achieved = _doubling(
+            evaluate, start, self.tol, "inverse block")
+        return engine
 
     # -- access -------------------------------------------------------------
     def element(self, i: int, j: int) -> float:

@@ -4,9 +4,10 @@ When every row shares the same (bd, bu, bz), row 0 of the inverse is exactly
 geometric with ratio gamma, the root in (0, 1) of bd*g^2 - bw*g + bu = 0, and
 the under-diagonal direction is geometric with ratio psi = gamma*bd/bu.  The
 diagonal follows a first-order recursion and converges to -1/sqrt(D) with
-D = bw^2 - 4*bu*bd.  A finite instance keeps these constants exact only under
-the special boundary truncation; any other finite boundary falls back to the
-general algorithm.
+D = bw^2 - 4*bu*bd, evaluated as (bd - bu)^2 + bz*(bz + 2*(bd + bu)); with
+gamma = 2*bu/(bw + sqrt(D)) nothing cancels.  A finite instance keeps these
+constants exact only under the special boundary truncation; any other finite
+boundary falls back to the general algorithm.
 """
 
 from __future__ import annotations
@@ -44,13 +45,9 @@ def hom_constants(spec: HomogeneousSpec) -> HomConstants:
     if bd <= 0.0 or bu <= 0.0:
         raise DegenerateRates(
             f"homogeneous closed forms need bd > 0 and bu > 0 (got {bd}, {bu})")
-    bw = spec.bw
-    disc = bw * bw - 4.0 * bu * bd
-    if disc < 0.0:
-        # bw >= bd + bu makes this impossible for valid rates
-        raise ValidationError(f"negative discriminant {disc}")
+    disc = (bd - bu) ** 2 + bz * (bz + 2.0 * (bd + bu))
     root = math.sqrt(disc)
-    gamma = (bw - root) / (2.0 * bd)
+    gamma = 2.0 * bu / (spec.bw + root)
     psi = gamma * bd / bu
     diag_limit = -1.0 / root if disc > 0.0 else -math.inf
     return HomConstants(gamma=gamma, psi=psi, disc=disc,

@@ -1,15 +1,19 @@
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from tricol import general
 from tricol.applications import (
+    StationaryResult,
     _bellman_residual,
     _normalize_pi,
     _shifted_matrix,
+    _tail_bound,
     _value_band_column,
     absorbing_bd_invert,
     absorbing_bd_spec,
@@ -20,6 +24,7 @@ from tricol.applications import (
 )
 from tricol.errors import (
     NoConvergence,
+    NonFiniteRate,
     NotNormalizable,
     NumericalError,
     ShapeMismatch,
@@ -144,6 +149,117 @@ class TestSteadyStateStableSweep:
         monkeypatch.setattr(general, "MAX_LEVEL", 256)
         with pytest.raises((NoConvergence, NotNormalizable), match="level 256"):
             steady_state(null)
+
+
+def nested_steady_state(Q: BandSpec, tol: float = 1e-12) -> StationaryResult:
+    """The infinite steady_state as a nested loop, kept as an oracle: every
+    stationary level L restarts the gamma doubling at sweep level 2L, so it
+    sweeps the same window levels again and again."""
+    m = _shifted_matrix(Q)
+    win = general._Window(m)
+    level = general.LEVEL0
+    prev_total = None
+    while level <= general.MAX_LEVEL:
+        gam = general._gamma_stable_infinite(win, level, tol)[0][: level + 1]
+        total = float(np.sum(gam))
+        if prev_total is not None and abs(total - prev_total) <= tol * total \
+                and gam[-1] <= tol * total:
+            res = _normalize_pi(Q, gam, level, tol, win.upto(level))
+            res.tail_bound = _tail_bound(Q, gam, total)
+            return res
+        prev_total = total
+        level *= 2
+    raise NotNormalizable(f"stationary mass did not stabilize by level {general.MAX_LEVEL}")
+
+
+def _generator_rules(qd, qu, qz, tail_start=None):
+    """An infinite generator from rules for i >= 1 (qd(0) = qz(0) = 0)."""
+    return BandSpec.infinite(lambda i: 0.0 if i == 0 else qd(i), qu,
+                             lambda i: 0.0 if i == 0 else qz(i), tail_start=tail_start)
+
+
+@st.composite
+def infinite_generators(draw):
+    """Periodic, head-plus-tail, slow, null and transient infinite chains."""
+    kind = draw(st.sampled_from(["periodic", "head_tail", "slow", "null", "transient"]))
+    if kind in ("periodic", "head_tail"):
+        size = draw(st.integers(1, 6 if kind == "periodic" else 12))
+
+        def values(lo, hi):
+            return draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+
+        qd, qu, qz = values(0.5, 2.0), values(0.3, 1.5), values(0.0, 0.2)
+        if kind == "periodic":
+            return _generator_rules(*(lambda i, v=v: v[i % size] for v in (qd, qu, qz)))
+        tail = (draw(st.floats(1.3, 2.0)), draw(st.floats(0.5, 1.2)), draw(st.floats(0.0, 0.1)))
+        return _generator_rules(*(lambda i, v=v, t=t: v[i] if i < size else t
+                                  for v, t in zip((qd, qu, qz), tail)), tail_start=size)
+    c = draw(st.floats(0.5, 2.0))
+    ratio = {"slow": st.floats(0.9, 0.999), "null": st.just(1.0),
+             "transient": st.floats(1.001, 1.5)}[kind]
+    r = draw(ratio)
+    return _generator_rules(lambda i: c, lambda i: c * r, lambda i: 0.0)
+
+
+class TestSteadyStateOneLoop:
+    """The infinite steady_state runs one loop over the sweep levels and
+    gives what the nested loop gave, sweeping each window level once."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(infinite_generators())
+    def test_matches_nested_loop(self, Q):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(general, "MAX_LEVEL", 1 << 14)
+            outcomes = []
+            for solve in (steady_state, nested_steady_state):
+                try:
+                    outcomes.append(solve(Q))
+                except (NoConvergence, NotNormalizable) as err:
+                    outcomes.append(type(err))
+        got, want = outcomes
+        if isinstance(got, type) or isinstance(want, type):
+            assert got is want  # NoConvergence: the nested inner doubling raises first
+            return
+        assert got.truncation_level == want.truncation_level
+        assert np.allclose(got.pi, want.pi, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def sweep_levels(monkeypatch):
+        """The window level of every row-0 ratio sweep, in call order."""
+        levels = []
+        sweep = general._row0_ratios
+
+        def counted(bd, bu, bz, hi):
+            levels.append(len(bd) - 1)
+            return sweep(bd, bu, bz, hi)
+
+        monkeypatch.setattr(general, "_row0_ratios", counted)
+        return levels
+
+    @pytest.mark.parametrize("bu,level0,cap,sweeps", [
+        (0.1, 64, 1 << 20, [128, 256, 512]),             # settles at level 128
+        (0.98, 64, 1 << 20, [128 << k for k in range(8)]),  # nested: 24 sweeps
+        (1.0, 16, 1 << 10, [32 << k for k in range(6)]),    # null: NoConvergence
+        (1.2, 16, 1 << 10, [32 << k for k in range(6)]),    # transient
+    ])
+    def test_each_window_level_swept_once(self, monkeypatch, bu, level0, cap, sweeps):
+        monkeypatch.setattr(general, "LEVEL0", level0)
+        monkeypatch.setattr(general, "MAX_LEVEL", cap)
+        levels = self.sweep_levels(monkeypatch)
+        try:
+            steady_state(_generator_rules(lambda i: 1.0, lambda i: bu, lambda i: 0.0))
+        except NoConvergence:
+            assert bu >= 1.0
+        assert levels == sweeps
+
+    def test_cut_chain_sweeps_each_level_once(self, monkeypatch):
+        # a bu = 0 cut inside the first window makes every sweep exact
+        levels = self.sweep_levels(monkeypatch)
+        Q = _generator_rules(lambda i: 1.0, lambda i: 0.0 if i == 40 else 0.9,
+                             lambda i: 0.0)
+        res = steady_state(Q)
+        assert res.truncation_level == 128 and levels == [128, 256]
+        assert max(Counter(levels).values()) == 1
 
 
 def detailed_balance_pi(Q: BandSpec) -> np.ndarray:
@@ -288,6 +404,34 @@ class TestGeneratorFromDense:
         Qd = dense_generator(Q)
         back = generator_from_dense(Qd)
         assert np.array_equal(dense_generator(back), Qd)
+
+    @pytest.mark.parametrize("entries,error,text", [
+        # (row, col, value, rebalance the diagonal?)
+        ([(3, 6, 0.5, False), (5, 2, 0.5, True)], ValidationError,
+         "row 3 of Q does not sum to zero"),       # a row's sum error comes first
+        ([(3, 7, 0.5, True), (3, 6, 0.5, True), (5, 1, 0.5, False)], ShapeMismatch,
+         "entry (3, 6) outside band + column 0"),  # its first off-band entry
+        ([(3, 3, 0.5, False), (5, 2, 0.5, True)], ValidationError,
+         "row 3 of Q does not sum to zero"),
+        ([(2, 5, 0.5, True), (3, 3, 0.5, False)], ShapeMismatch,
+         "entry (2, 5) outside band + column 0"),  # the first faulty row wins
+    ])
+    def test_error_precedence(self, rng, entries, error, text):
+        Qd = dense_generator(random_generator(rng, 8))
+        for i, j, value, rebalance in entries:
+            Qd[i, j] += value
+            if rebalance:
+                Qd[i, i] -= value
+        with pytest.raises(ValidationError) as info:
+            generator_from_dense(Qd)
+        assert type(info.value) is error and str(info.value) == text
+
+    def test_nan_row_sum_is_left_to_validate(self, rng):
+        Qd = dense_generator(random_generator(rng, 6))
+        Qd[3, 2] = np.nan
+        Q = generator_from_dense(Qd)
+        with pytest.raises(NonFiniteRate):
+            steady_state(Q)
 
 
 class TestResidualsPropagateNaN:

@@ -55,6 +55,27 @@ class TestInvertCommand:
         b = capsys.readouterr().out
         assert a == b
 
+    @pytest.mark.parametrize("doc,n,audits", [
+        (WORKED, 3, 1),   # the finite full-size solve audited the block
+        (WORKED, 2, 1),   # a leading block is audited here
+        ({"extent": "finite", "l": 5, "homogeneous": {"bd": 2, "bu": 1, "bz": 1},
+          "truncation": "special"}, 6, 1),
+    ])
+    def test_block_audited_once(self, tmp_path, capsys, monkeypatch, doc, n, audits):
+        from tricol import general, homogeneous
+        calls = []
+        audit = general.block_residual
+
+        def counted(view, n=None):
+            calls.append(n)
+            return audit(view, n)
+
+        for module in (general, homogeneous):
+            monkeypatch.setattr(module, "block_residual", counted)
+        assert main(["invert", write(tmp_path, doc), "--n", str(n)]) == 0
+        resid = [l for l in capsys.readouterr().out.splitlines() if l.startswith("residual")]
+        assert len(calls) == audits and len(resid) == 1
+
     def test_exact_flag_round_trips(self, tmp_path, capsys):
         main(["--exact", "invert", write(tmp_path, WORKED), "--n", "3"])
         out = capsys.readouterr().out

@@ -485,6 +485,38 @@ class TestAdaptiveLimits:
             gamma1(m, tol=1e-14)
 
 
+class TestDoubling:
+    """The one doubling-certification loop of every infinite solve."""
+
+    @staticmethod
+    def run(probes, exact_at=None, tol=1e-12):
+        from tricol.general import _doubling
+        levels = []
+
+        def evaluate(level):
+            levels.append(level)
+            k = len(levels) - 1
+            return k, np.array([probes[k]]), level == exact_at
+
+        return _doubling(evaluate, 4, tol, "probe"), levels
+
+    def test_settles_on_level_difference(self):
+        (value, level, achieved), levels = self.run([1.0, 2.0, 2.0 + 1e-13])
+        assert (value, level, levels) == (2, 16, [4, 8, 16])
+        assert achieved == pytest.approx(1e-13, rel=1e-3)
+
+    def test_exact_level_returns_at_once(self):
+        assert self.run([1.0, 5.0, 9.0], exact_at=8)[0] == (1, 8, 0.0)
+
+    def test_non_finite_difference_never_settles(self, monkeypatch):
+        from tricol import general
+        from tricol.errors import NoConvergence
+        monkeypatch.setattr(general, "MAX_LEVEL", 32)
+        inf = float("inf")
+        with pytest.raises(NoConvergence, match="probe did not stabilize by level 32"):
+            self.run([1.0, inf, inf, float("nan")])
+
+
 def counted_spec(rules, calls, **kw):
     """An infinite spec whose rate rules tally every index they are called at."""
     def counted(name, rule):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -62,6 +63,24 @@ class TestConstants:
             assert 0.0 < k.gamma < 1.0
             assert 0.0 < k.psi < 1.0
             assert k.psi == k.gamma * bd / bu  # exact, same expression
+
+
+    @pytest.mark.parametrize("bd,bu,bz", [
+        (1e-12, 1.0, 0.5), (1e-8, 1.0, 1.0), (1.0, 1e-10, 1.0),
+        (2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (0.3, 0.7, 1e-9),
+    ])
+    def test_constants_match_mpmath(self, bd, bu, bz):
+        # the textbook (bw - sqrt(bw^2 - 4 bu bd))/(2 bd) loses up to 3e-5
+        # relative at the first three triples to cancellation
+        k = hom_constants(HomogeneousSpec(bd, bu, bz))
+        with mpmath.workdps(60):
+            d, u, z = (mpmath.mpf(x) for x in (bd, bu, bz))
+            w = d + u + z
+            disc = w * w - 4 * u * d
+            gamma = (w - mpmath.sqrt(disc)) / (2 * d)
+            for got, want in ((k.gamma, gamma), (k.disc, disc),
+                              (k.diag_limit, -1 / mpmath.sqrt(disc))):
+                assert abs(got / want - 1) <= 4e-16
 
 
 class TestElements:
