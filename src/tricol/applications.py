@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -37,7 +37,8 @@ from .general import (
     invert as general_invert,
 )
 from .homogeneous import _hom_generators, hom_constants
-from .model import BandSpec, HomogeneousSpec, StructuredMatrix, _check_nonnegative, validate
+from .model import (BandSpec, HomogeneousSpec, StructuredMatrix, _check_nonnegative,
+                    _HeadTail, _RangeRule, _realize, validate)
 
 
 @dataclass
@@ -71,7 +72,8 @@ def generator_from_dense(Q: np.ndarray) -> BandSpec:
     if Q.shape != (n, n):
         raise ValidationError("generator must be square")
     scale = np.maximum(np.max(Q, axis=1, initial=1.0), -np.min(Q, axis=1, initial=0.0))
-    unbalanced = np.abs(Q.sum(axis=1)) > 1e-12 * scale  # a NaN sum is left to validate()
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN sum is left to validate()
+        unbalanced = np.abs(Q.sum(axis=1)) > 1e-12 * scale
     outside = (Q != 0.0) & (np.tri(n, k=-2, dtype=bool) | ~np.tri(n, k=1, dtype=bool))
     outside[:, :1] = False
     faulty = np.flatnonzero(unbalanced | outside.any(axis=1))
@@ -102,15 +104,29 @@ def _check_generator(Q: BandSpec) -> BandSpec:
     return Q
 
 
+@dataclass(frozen=True)
+class _Shifted(_RangeRule):
+    """The down-rates of B = Q - delta' delta: 1.0 at index 0, qd(i) from 1
+    on.  A window calls qd once per index past 0, and never at 0."""
+
+    qd: Callable[[int], float]
+
+    def __call__(self, i: int) -> float:
+        return 1.0 if i == 0 else self.qd(i)
+
+    def range(self, lo: int, hi: int) -> np.ndarray:
+        if lo or hi < 0:
+            return _realize(self.qd, lo, hi)
+        return np.concatenate(([1.0], _realize(self.qd, 1, hi)))
+
+
 def _shifted_matrix(Q: BandSpec) -> StructuredMatrix:
     """B = Q - delta' delta: the (0,0) entry drops by one, so bd[0] = 1."""
     if Q.is_finite:
         bd = np.asarray(Q.down, dtype=float).copy()
         bd[0] = 1.0
         return validate(BandSpec.finite(bd, Q.up, Q.tozero))
-    qd, qu, qz = Q.down, Q.up, Q.tozero
-    return validate(BandSpec.infinite(
-        lambda i: 1.0 if i == 0 else qd(i), qu, qz, tail_start=Q.tail_start))
+    return validate(BandSpec.infinite(_Shifted(Q.down), Q.up, Q.tozero, tail_start=Q.tail_start))
 
 
 def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResult:
@@ -131,7 +147,7 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
     m = _shifted_matrix(Q)
     if m.is_finite:
         window = _window(m, m.last)
-        gam = _gamma_sweep(*window[:3], _bu_horizon(window[1], m.last))
+        gam = _gamma_sweep(*window, _bu_horizon(window[1], m.last))
         return _normalize_pi(Q, gam, None, tol, window)
     win = _Window(m)  # one realization of each index for every sweep below
     level, sweep = general.LEVEL0, 2 * general.LEVEL0
@@ -158,9 +174,9 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
 def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> StationaryResult:
     """pi = gam / sum(gam) and max |pi Q| over the columns pi fixes.
 
-    ``window`` is (qd, qu, qz, qw) over gam's indices: the shifted matrix's
-    rates as ``steady_state`` realized them or, when None, a finite Q's own.
-    The shift changes only qd[0] and qw[0], which no column reads: column 0
+    ``window`` is (qd, qu, qz) over gam's indices: the shifted
+    matrix's rates as ``steady_state`` realized them or, when None, a finite
+    Q's own.  The shift changes only qd[0], which no column reads: column 0
     takes qd[0] + qu[0] as qu[0] (``_check_generator`` makes qd[0] = 0).
     """
     total = float(np.sum(gam))
@@ -168,10 +184,7 @@ def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> Stat
         raise NotNormalizable(f"total mass {total}")
     pi = gam / total
     n = len(pi)
-    if window is None:
-        qd, qu, qz = Q.rates(Q.last)
-        window = qd, qu, qz, qd + qu + qz
-    qd, qu, qz, qw = window
+    qd, qu, qz = Q.rates(Q.last) if window is None else window
     worst = 0.0
     if Q.is_finite:
         # column 0 of pi Q
@@ -181,7 +194,8 @@ def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> Stat
         worst = abs(col0)
     # columns j = 1..hi-1: qu[j-1] pi[j-1] - qw[j] pi[j] + qd[j+1] pi[j+1]
     hi = n if Q.is_finite else n - 1
-    v = qu[: hi - 1] * pi[: hi - 1] - qw[1:hi] * pi[1:hi]
+    qw = qd[1:hi] + qu[1:hi] + qz[1:hi]
+    v = qu[: hi - 1] * pi[: hi - 1] - qw * pi[1:hi]
     k = min(hi, n - 1) - 1          # columns whose j + 1 is in range
     v[:k] += qd[2: k + 2] * pi[2: k + 2]
     worst = float(np.max(np.abs(v), initial=worst))
@@ -231,12 +245,8 @@ def absorbing_bd_spec(bd: float, bu: float, bz: float,
         toz = np.full(n, bz)
         toz[0] = 0.0
         return BandSpec.finite(down, up, toz)
-    return BandSpec.infinite(
-        lambda i: bd1 if i == 1 else bd,
-        lambda i: 0.0 if i == 0 else bu,
-        lambda i: 0.0 if i == 0 else bz,
-        tail_start=2,
-    )
+    return BandSpec.infinite(_HeadTail([bd, bd1], bd), _HeadTail([0.0], bu),
+                             _HeadTail([0.0], bz), tail_start=2)
 
 
 def absorbing_bd_invert(bd: float, bu: float, bz: float,

@@ -110,22 +110,22 @@ def first_column_value(m: StructuredMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def _window(m: StructuredMatrix, hi: int):
-    """(bd, bu, bz, bw) arrays for 0..hi in one shot; an infinite window is
+    """(bd, bu, bz) arrays for 0..hi in one shot; an infinite window is
     validated as it is realized (a solve that grows it uses ``_Window``)."""
     if not m.is_finite:
         return _Window(m).upto(hi)
-    bd, bu, bz = m.band_rates(hi)
-    return bd, bu, bz, bd + bu + bz
+    return m.band_rates(hi)
 
 
 class _Window:
     """The growing rate window of one infinite matrix, shared by one solve.
 
-    ``upto(hi)`` returns (bd, bu, bz, bw) over 0..hi, realizing and
-    validating only the indices past those it holds, so every doubling
-    level of a solve calls the rate rules once per new index.  Each array
-    grows by allocation, prefix copy and fill; a caller that keeps no view
-    across ``upto`` thereby frees the smaller window.
+    ``upto(hi)`` returns (bd, bu, bz) over 0..hi, realizing and validating
+    only the indices past those it holds, so every doubling level of a
+    solve calls the rate rules once per new index.  The row weights bw are
+    not held: the code that reads them forms them.  Each array grows by
+    allocation, prefix copy and fill; a caller that keeps no view across
+    ``upto`` thereby frees the smaller window.
     """
 
     def __init__(self, m: StructuredMatrix):
@@ -137,9 +137,9 @@ class _Window:
         lo = self.hi + 1
         if hi >= lo:
             new = list(self.m.band_rates(hi, lo))
-            new.append(_check_rates(*new, lo))
+            _check_rates(*new, lo)
             if lo:
-                for k in range(4):  # one array at a time: each part dies once copied
+                for k in range(3):  # one array at a time: each part dies once copied
                     grown = np.empty(hi + 1)
                     grown[:lo] = self._rates[k]
                     grown[lo:] = new[k]
@@ -175,8 +175,9 @@ class _AffineGammaSystem:
     later segments read it, and it is the stored gamma.
     """
 
-    def __init__(self, bd, bu, bz, bw, hi, gamma_known):
-        self.bd, self.bu, self.bz, self.bw, self.hi = bd, bu, bz, bw, hi
+    def __init__(self, bd, bu, bz, hi, gamma_known):
+        self.bd, self.bu, self.bz, self.hi = bd, bu, bz, hi
+        self.bw = bd + bu + bz
         self.rho = np.zeros(hi + 1)
         self.eta = np.zeros(hi + 1)
         self.gamma = np.zeros(hi + 1)
@@ -277,12 +278,12 @@ def gamma_table(m: StructuredMatrix, up_to: int, tol: float = 1e-12) -> GammaTab
     """Gamma ratios and their affine machinery for indices 0..up_to."""
     if m.is_finite:
         hi = m.last
-        bd, bu, bz, bw = _window(m, hi)
+        bd, bu, bz = _window(m, hi)
         horizon = _bu_horizon(bu, hi)
         eff = hi if horizon is None else horizon
         gam = _gamma_sweep(bd, bu, bz, horizon)
         sysm = _AffineGammaSystem(bd[:eff + 1], bu[:eff + 1], bz[:eff + 1],
-                                  bw[:eff + 1], eff, gamma_known=gam)
+                                  eff, gamma_known=gam)
         rho = np.zeros(hi + 1)
         eta = np.zeros(hi + 1)
         rho[:eff + 1] = sysm.rho
@@ -297,11 +298,11 @@ def gamma_table(m: StructuredMatrix, up_to: int, tol: float = 1e-12) -> GammaTab
 
     win = _Window(m)
     gam_full, level, _ = _gamma_stable_infinite(win, up_to, tol)
-    bd, bu, bz, bw = win.upto(level)
+    bd, bu, bz = win.upto(level)
     horizon = _bu_horizon(bu, None)
     eff = level if horizon is None else min(level, horizon)
     sysm = _AffineGammaSystem(bd[:eff + 1], bu[:eff + 1], bz[:eff + 1],
-                              bw[:eff + 1], eff, gamma_known=gam_full[: eff + 1])
+                              eff, gamma_known=gam_full[: eff + 1])
     hi = min(up_to, eff)
     rho = np.zeros(up_to + 1)
     eta = np.zeros(up_to + 1)
@@ -335,7 +336,7 @@ def gamma1(m: StructuredMatrix, tol: float = 1e-12) -> float:
 
 def _gamma1_at_level(m: StructuredMatrix, level: int) -> float:
     """gamma1 of the sweep truncated at ``level``."""
-    bd, bu, bz, _ = _window(m, level)
+    bd, bu, bz = _window(m, level)
     horizon = _bu_horizon(bu, m.last if m.is_finite else None)
     eff = level if horizon is None else min(level, horizon)
     if eff < 1:
@@ -493,7 +494,7 @@ def _sweep_level(win: _Window, level: int):
     """(gamma over 0..level, whether a bu = 0 cut made it exact).
 
     The window's views die on return, before the next level grows it."""
-    bd, bu, bz, _ = win.upto(level)
+    bd, bu, bz = win.upto(level)
     horizon = _bu_horizon(bu, None)
     return _gamma_sweep(bd, bu, bz, horizon), horizon is not None
 
@@ -512,7 +513,7 @@ class _Engine:
     """
 
     def __init__(self, rates):
-        bd, bu, bz, bw = rates  # a window over 0..hi
+        bd, bu, bz = rates  # a window over 0..hi
         self.hi = hi = len(bd) - 1
         n1 = hi + 1
         self.b_un = np.zeros(n1)
@@ -522,10 +523,10 @@ class _Engine:
         self.coeff_ops = 0
         if hi == 0:
             return
-        d, up, z, w = (memoryview(a) for a in (bd, bu, bz, bw))
+        d, up, z = (memoryview(a) for a in (bd, bu, bz))
         b_un, d_un, a2 = (memoryview(a) for a in (self.b_un, self.d_un, self.a2))
         # B(r, 0) is bz[r] (+ bd[1] on row 1); the subdiagonal bd[r] starts at row 2
-        dd = d_un[hi] = w[hi]
+        dd = d_un[hi] = d[hi] + up[hi] + z[hi]  # bw[hi], summed as bd + bu + bz
         h = z[hi] + up[hi]
         b_un[hi] = (d[hi] if hi >= 2 else 0.0) / dd
         aa = a2[hi] = (z[hi] + (d[1] if hi == 1 else 0.0)) / dd

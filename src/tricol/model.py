@@ -38,6 +38,37 @@ def _as_rule(seq) -> RateRule:
     return lambda i: arr[i]
 
 
+class _RangeRule:
+    """A library-built rate rule that also realizes whole slices:
+    ``range(lo, hi)`` is bitwise the array of ``rule(i)`` over lo..hi
+    inclusive.  ``BandSpec.rates`` reads it in one call; any other callable
+    is called once per index."""
+
+
+class _HeadTail(_RangeRule):
+    """``head[i]`` below ``len(head)``, the constant ``tail`` from there on."""
+
+    def __init__(self, head: Sequence[float], tail: float):
+        self.head = [float(x) for x in head]
+        self.tail = float(tail)
+
+    def __call__(self, i: int) -> float:
+        return self.head[i] if i < len(self.head) else self.tail
+
+    def range(self, lo: int, hi: int) -> np.ndarray:
+        out = np.full(hi + 1 - lo, self.tail)
+        head = self.head[lo: hi + 1]
+        out[: len(head)] = head
+        return out
+
+
+def _realize(rule: RateRule, lo: int, hi: int) -> np.ndarray:
+    """The rates rule(lo), ..., rule(hi) as one float array."""
+    if isinstance(rule, _RangeRule):
+        return rule.range(lo, hi)
+    return np.fromiter(map(rule, range(lo, hi + 1)), dtype=float, count=hi + 1 - lo)
+
+
 @dataclass(frozen=True)
 class BandSpec:
     """Rate data (bd, bu, bz) defining one matrix, finite or infinite.
@@ -45,7 +76,11 @@ class BandSpec:
     For finite extent the sequences are stored as arrays of length
     ``last + 1``.  For infinite extent they are deterministic callables over
     the index, optionally declared homogeneous from ``tail_start`` on, which
-    lets downstream code use closed-form tail bounds.
+    lets downstream code use closed-form tail bounds.  A window of rates
+    calls a callable once per index; the library's head/tail rules
+    (``from_dict``, ``HomogeneousSpec.as_band``, ``absorbing_bd_spec``) fill
+    it at NumPy speed instead.  Polynomial rules and sequences passed to
+    ``infinite`` stay per-index.
     """
 
     down: object
@@ -93,9 +128,7 @@ class BandSpec:
             return (np.asarray(self.down)[lo: hi + 1],
                     np.asarray(self.up)[lo: hi + 1],
                     np.asarray(self.tozero)[lo: hi + 1])
-        n = hi + 1 - lo
-        return tuple(np.fromiter(map(rule, range(lo, hi + 1)), dtype=float, count=n)
-                     for rule in (self.down, self.up, self.tozero))
+        return tuple(_realize(rule, lo, hi) for rule in (self.down, self.up, self.tozero))
 
 
 @dataclass(frozen=True)
@@ -129,8 +162,8 @@ class HomogeneousSpec:
             up = np.full(n, self.bu)
             up[-1] = 0.0
             return BandSpec.finite(np.full(n, self.bd), up, np.full(n, self.bz))
-        return BandSpec.infinite(
-            lambda i: self.bd, lambda i: self.bu, lambda i: self.bz, tail_start=0)
+        return BandSpec.infinite(_HeadTail([], self.bd), _HeadTail([], self.bu),
+                                 _HeadTail([], self.bz), tail_start=0)
 
 
 class StructuredMatrix:
@@ -302,11 +335,11 @@ def validate(spec) -> StructuredMatrix:
     return m
 
 
-def _check_rates(bd, bu, bz, first: int = 0) -> np.ndarray:
+def _check_rates(bd, bu, bz, first: int = 0) -> None:
     """Rates must be finite and nonnegative, row weights positive from index 1 on.
 
     The arrays hold indices first, first + 1, ...; errors name the true
-    index.  Returns the row weights bd + bu + bz.
+    index.
     """
     _check_nonnegative(bd, bu, bz, first)
     bw = bd + bu + bz
@@ -315,7 +348,6 @@ def _check_rates(bd, bu, bz, first: int = 0) -> np.ndarray:
     if bad.size:
         k = int(bad[0]) + skip
         raise ZeroRowWeight(f"bw[{k + first}] = {bw[k]} must be > 0")
-    return bw
 
 
 def _check_nonnegative(bd, bu, bz, first: int = 0) -> None:
@@ -416,16 +448,11 @@ def from_dict(doc: dict):
     if "head" in doc or "tail" in doc:
         head = doc.get("head", {"bd": [], "bu": [], "bz": []})
         tail = doc["tail"]
-        hd = [float(x) for x in head["bd"]]
-        hu = [float(x) for x in head["bu"]]
-        hz = [float(x) for x in head["bz"]]
-        k = len(hd)
-        td, tu, tz = float(tail["bd"]), float(tail["bu"]), float(tail["bz"])
-
-        def mk(prefix, const):
-            return lambda i: prefix[i] if i < k else const
-
-        return BandSpec.infinite(mk(hd, td), mk(hu, tu), mk(hz, tz), tail_start=k)
+        k = len(head["bd"])
+        if len(head["bu"]) != k or len(head["bz"]) != k:
+            raise ValidationError("head arrays bd, bu, bz must have equal length")
+        return BandSpec.infinite(*(_HeadTail(head[key], tail[key]) for key in ("bd", "bu", "bz")),
+                                 tail_start=k)
 
     if "rates" in doc:
         r = doc["rates"]

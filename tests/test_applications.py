@@ -398,6 +398,22 @@ class TestValueFunction:
             value_function(Q, np.ones(4), 0.0)
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 0), (0, 40), (1, 40), (17, 90)])
+def test_shift_calls_plain_qd_once_per_index_past_zero(lo, hi):
+    calls = Counter()
+
+    def qd(i):
+        calls.update([i])
+        return 0.0 if i == 0 else 1.0 + 0.1 * (i % 3)
+
+    m = _shifted_matrix(BandSpec.infinite(qd, lambda i: 1.0, lambda i: 0.0))
+    assert 0 not in calls  # validate()'s probe reads bd[0] = 1 from the shift
+    calls.clear()
+    bd = m.band_rates(hi, lo)[0]
+    assert calls == Counter(range(max(lo, 1), hi + 1))
+    assert bd.tolist() == [1.0 if i == 0 else qd(i) for i in range(lo, hi + 1)]
+
+
 class TestGeneratorFromDense:
     def test_roundtrip(self, rng):
         Q = random_generator(rng, 9)
@@ -432,6 +448,13 @@ class TestGeneratorFromDense:
         Q = generator_from_dense(Qd)
         with pytest.raises(NonFiniteRate):
             steady_state(Q)
+
+    @pytest.mark.parametrize("row", [(np.inf, -np.inf), (-np.inf, np.inf)])
+    def test_inf_minus_inf_row_is_left_to_validate(self, row):
+        # the row sums to NaN without a RuntimeWarning; validate() names the rate
+        Qd = np.array([[-1.0, 1.0, 0.0], [*row, 0.0], [0.0, 1.0, -1.0]])
+        with pytest.raises(NonFiniteRate, match=r"bd\[1\] = -?inf is not finite"):
+            steady_state(Qd)
 
 
 class TestResidualsPropagateNaN:

@@ -596,6 +596,34 @@ class TestGrowingWindow:
         assert calls["bu"] == probe + window
         assert calls["bz"] == probe + window + Counter([0])
 
+    def test_window_holds_three_arrays(self):
+        from tricol.general import _Window
+        m = validate(BandSpec.infinite(lambda i: 1.5, lambda i: 1.0, lambda i: 0.2))
+        win = _Window(m)
+        for hi in (10, 300):
+            got = win.upto(hi)
+            assert len(got) == 3 and len(win._rates) == 3
+            for a, b in zip(got, m.band_rates(hi)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_null_recurrent_steady_state_memory_peak(self, monkeypatch):
+        # at level 2^16 three window arrays are 1.57 MB; the traced peak was
+        # 2.38 MB (2.91 MB while the window also held bw); bound: +5%
+        import tracemalloc
+        from tricol import general
+        from tricol.applications import steady_state
+        from tricol.errors import NoConvergence
+        monkeypatch.setattr(general, "MAX_LEVEL", 1 << 16)
+        Q = BandSpec.infinite(lambda i: 0.0 if i == 0 else 1.3, lambda i: 1.3, lambda i: 0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoConvergence):
+                steady_state(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
     @pytest.mark.parametrize("solve,at", [
         (lambda m: gamma1(m), 100),                 # levels 64, 128
         (lambda m: invert(m, n=64), 200),           # levels 128, 256

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tricol.applications import _Shifted, absorbing_bd_spec
 from tricol.errors import (
     BadFinalRow,
     InfiniteExtent,
@@ -15,6 +17,8 @@ from tricol.homogeneous import hom_invert
 from tricol.model import (
     BandSpec,
     HomogeneousSpec,
+    _HeadTail,
+    _RangeRule,
     decompose,
     from_dict,
     generator_from_dict,
@@ -191,6 +195,12 @@ class TestSpecDocuments:
         assert spec.tail_start == 2
         assert spec.down(0) == 1.0 and spec.down(5) == 2.0
 
+    def test_head_arrays_must_have_equal_length(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            from_dict({"extent": "infinite",
+                       "head": {"bd": [1.0, 0.5], "bu": [2.0], "bz": [0.0, 0.3]},
+                       "tail": {"bd": 2.0, "bu": 1.0, "bz": 1.0}})
+
     def test_polynomial_document(self):
         spec = from_dict({"extent": "infinite",
                           "rates": {"kind": "polynomial",
@@ -209,3 +219,59 @@ class TestSpecDocuments:
     def test_unknown_extent(self):
         with pytest.raises(ValidationError):
             from_dict({"extent": "banana"})
+
+
+RATE_NAMES = ("down", "up", "tozero")
+
+
+@st.composite
+def range_rules(draw):
+    """A range-capable rate rule as the library builds it."""
+    rate = st.floats(0.0, 3.0)
+    head, tail = draw(st.lists(rate, max_size=6)), draw(rate)
+    which = draw(st.sampled_from(RATE_NAMES))
+    kind = draw(st.sampled_from(
+        ["from_dict", "homogeneous", "absorbing", "shift-plain", "shift-head-tail"]))
+    if kind == "from_dict":
+        keys = ("bd", "bu", "bz")
+        doc = {"extent": "infinite", "head": dict.fromkeys(keys, head),
+               "tail": dict.fromkeys(keys, tail)}
+        return getattr(from_dict(doc), which)
+    if kind == "homogeneous":
+        return getattr(HomogeneousSpec(tail, tail, tail).as_band(), which)
+    if kind == "absorbing":
+        bd, bu = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+        shape = draw(st.sampled_from(["absorbing", "original"]))
+        return getattr(absorbing_bd_spec(bd, bu, tail, shape=shape), which)
+    if kind == "shift-plain":
+        values = head + [tail]
+        return _Shifted(lambda i: values[i % len(values)])
+    return _Shifted(_HeadTail(head, tail))
+
+
+@given(range_rules(), st.integers(0, 10), st.integers(-1, 12))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_range_form_is_bitwise_the_per_index_rule(rule, lo, span):
+    # heads hold up to 6 rates, so lo..hi ends inside the head and past it
+    assert isinstance(rule, _RangeRule)
+    hi = lo + span  # span -1 is an empty slice
+    got = rule.range(lo, hi)
+    want = np.array([rule(i) for i in range(lo, hi + 1)], dtype=float)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_rates_read_range_rules_in_one_call():
+    class Counted(_HeadTail):
+        calls = 0
+
+        def __call__(self, i):
+            raise AssertionError("a range rule is not called per index")
+
+        def range(self, lo, hi):
+            Counted.calls += 1
+            return super().range(lo, hi)
+
+    spec = BandSpec.infinite(Counted([0.5], 1.0), Counted([], 1.0), Counted([0.2], 0.1))
+    bd, bu, bz = spec.rates(300, 5)
+    assert Counted.calls == 3
+    assert bd.tolist() == [1.0] * 296 and bz.tolist() == [0.1] * 296
