@@ -20,6 +20,7 @@ from scipy.linalg.lapack import dgtsv
 
 from . import general
 from .errors import (
+    DegenerateRates,
     InfiniteExtent,
     NoConvergence,
     NotNormalizable,
@@ -203,13 +204,15 @@ def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> Stat
 
 
 def _tail_bound(Q: BandSpec, gam: np.ndarray, total: float) -> Optional[float]:
-    if Q.tail_start is None:
+    """The mass past gam's last index from the declared homogeneous tail;
+    None unless that index lies in the tail, where the ratio is gamma."""
+    if Q.tail_start is None or len(gam) - 1 < Q.tail_start:
         return None
     i = max(Q.tail_start, 1)
     try:
         consts = hom_constants(HomogeneousSpec(
             bd=Q.down(i), bu=Q.up(i), bz=Q.tozero(i)))
-    except Exception:
+    except DegenerateRates:
         return None
     g = consts.gamma
     if not 0.0 < g < 1.0:

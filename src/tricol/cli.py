@@ -89,12 +89,7 @@ def _cmd_invert(args, fmt) -> int:
     n = args.n if args.n is not None else (m.last + 1 if m.is_finite else None)
     if n is None:
         raise ValidationError("--n is required for infinite extent")
-    spec = m.spec
-    if isinstance(spec, model.HomogeneousSpec) and spec.truncation == "special":
-        view = homogeneous.hom_finite_invert(spec, tol=args.tol)
-        view.materialize(n)
-    else:
-        view = general.invert(m, n=n, tol=args.tol)
+    view = general.invert(m, n=n, tol=args.tol)
     C = view.block(n)
     audited = m.is_finite and n == m.last + 1  # the solve audited this block
     resid = view.report.residual if audited else general.block_residual(view, n)
@@ -242,7 +237,7 @@ def _st_homogeneous_constants():
     return err < 1e-13, f"max deviation {err:.2e}"
 
 
-def _st_special_truncation():
+def _st_truncated_homogeneous():
     spec = model.HomogeneousSpec(2.0, 1.0, 1.0, last=5, truncation="special")
     view = homogeneous.hom_finite_invert(spec)
     resid = view.report.residual
@@ -294,7 +289,7 @@ def _st_infinite_homogeneous():
 _SELFTESTS = [
     ("worked-3x3-inverse", _st_worked_inverse),
     ("homogeneous-constants", _st_homogeneous_constants),
-    ("special-truncation-residual", _st_special_truncation),
+    ("special-truncation-residual", _st_truncated_homogeneous),
     ("steady-state-2-state", _st_steady_two_state),
     ("absorbing-c11", _st_absorbing_c11),
     ("sherman-morrison-vs-lu", _st_sherman_morrison),

@@ -746,21 +746,7 @@ def block_residual(view: InverseView, n: Optional[int] = None) -> float:
     C = view.block(n)
     full = m.is_finite and n == m.last + 1
     rows = n if full else n - 1
-    # B's entries by column: 0, r-1, r and r+1 (each distinct column once);
-    # row 0 is (-bd[0] - bu[0], bu[0]), row 1's subdiagonal is column 0, and
-    # sup is read for rows 0..n-2 only
-    bd, bu, bz = m.band_rates(rows - 1)
-    col0, sub, dia, sup = bz.copy(), bd.copy(), -(bz + bd + bu), bu
-    if rows:
-        col0[0], dia[0] = -bd[0] - bu[0], 0.0
-    if rows > 1:
-        col0[1], sub[1] = bd[1] + bz[1], 0.0
-    if full and m._special:
-        # the special truncation's last row is not read from the rates
-        r = m.last
-        col0[r], dia[r] = m.entry(r, 0), m.entry(r, r)
-        if r >= 2:
-            sub[r] = m.entry(r, r - 1)
+    col0, sub, dia, sup = m.stencil(rows - 1)  # sup is read for rows 0..n-2 only
     worst = 0.0
     step = max(1, (1 << 16) // n)  # rows per chunk: 512 KiB temporaries
     for lo in range(0, rows, step):

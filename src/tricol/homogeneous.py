@@ -6,8 +6,9 @@ the under-diagonal direction is geometric with ratio psi = gamma*bd/bu.  The
 diagonal follows a first-order recursion and converges to -1/sqrt(D) with
 D = bw^2 - 4*bu*bd, evaluated as (bd - bu)^2 + bz*(bz + 2*(bd + bu)); with
 gamma = 2*bu/(bw + sqrt(D)) nothing cancels.  A finite instance keeps these
-constants exact only under the special boundary truncation; any other finite
-boundary falls back to the general algorithm.
+constants exact only under the special truncation, the rate row
+bz[last] = bu/gamma - bd of ``HomogeneousSpec.as_band``.  The general
+algorithm solves every finite instance; these forms are its oracle there.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateRates, OutOfRange, ValidationError, ZeroDiscriminant
-from .general import InverseView, _export_block, block_residual, invert as general_invert
+from .general import InverseView, _export_block, invert as general_invert
 from .model import HomogeneousSpec, validate
 
 
@@ -180,22 +181,14 @@ def hom_block(spec: HomogeneousSpec, n: int, zero_row0: bool = False,
 
 
 def hom_finite_invert(spec: HomogeneousSpec, tol: float = 1e-12) -> InverseView:
-    """Invert a finite homogeneous matrix.
+    """Invert a finite homogeneous matrix with the general algorithm.
 
-    Special truncation stores the whole inverse by the infinite-case
-    generators; generic truncation delegates to the general algorithm.
+    Either truncation is a rate row of the spec's band; under the special
+    one the result matches the closed forms (``hom_block``).
     """
     if not spec.is_finite:
         raise ValidationError("finite extent required; use hom_invert for blocks")
-    m = validate(spec)
-    if spec.truncation == "generic":
-        return general_invert(validate(spec.as_band()), tol=tol)
-    t0 = time.perf_counter()
-    view = InverseView.from_generators(m, tol, *_hom_generators(spec, spec.last + 1))
-    view.report.seconds += time.perf_counter() - t0
-    view.report.residual = block_residual(view)
-    view.report.entry_ops += view.n * view.n  # the audit's dense export
-    return view
+    return general_invert(validate(spec), tol=tol)
 
 
 def hom_invert(spec: HomogeneousSpec, n: int, tol: float = 1e-12) -> InverseView:

@@ -7,7 +7,9 @@ subdiagonal, ``-bw[i]`` on the diagonal, ``bu[i]`` on the superdiagonal and
 the entry there is ``bd[1] + bz[1]``).  The weights satisfy
 ``bw[i] = bz[i] + bd[i] + bu[i] > 0`` and ``bd[0] > 0``; every row i >= 1 sums
 to zero and row 0 sums to ``-bd[0]``.  Finite matrices additionally treat
-``bu[last]`` as zero so the final row also sums to zero.
+``bu[last]`` as zero so the final row also sums to zero.  Every matrix is
+held as its rates (a homogeneous spec as its ``as_band()``, the special
+truncation included), and ``StructuredMatrix.stencil`` lays out B from them.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ class HomogeneousSpec:
     """Element-homogeneous rates: every row shares (bd, bu, bz).
 
     ``truncation`` selects how a finite instance closes its last row:
-    ``"special"`` uses the boundary overrides that keep the closed-form fill
-    exact, ``"generic"`` keeps the plain zero-row-sum boundary and defers to
-    the general algorithm.
+    ``"special"`` is the last row under which the closed forms stay exact,
+    ``"generic"`` the plain zero-row-sum boundary.  Both are rate rows of
+    ``as_band()``, and the general algorithm solves both.
     """
 
     bd: float
@@ -156,12 +158,19 @@ class HomogeneousSpec:
         return self.last is not None
 
     def as_band(self) -> BandSpec:
-        """The same matrix as a plain BandSpec (generic truncation shape)."""
+        """The same matrix as a plain BandSpec, with bu[last] = 0 if finite.
+        The special truncation's last row (bu/gamma - bd, 0, ..., bd, -bu/gamma)
+        is the rate bz[last] = bu/gamma - bd >= 0 (gamma <= bu/bd), clipped
+        at 0 against rounding."""
         if self.is_finite:
             n = self.last + 1
             up = np.full(n, self.bu)
             up[-1] = 0.0
-            return BandSpec.finite(np.full(n, self.bd), up, np.full(n, self.bz))
+            tozero = np.full(n, self.bz, dtype=float)
+            if self.truncation == "special":
+                from .homogeneous import hom_constants  # local import: avoid cycle at module load
+                tozero[-1] = max(self.bu / hom_constants(self).gamma - self.bd, 0.0)
+            return BandSpec.finite(np.full(n, self.bd), up, tozero)
         return BandSpec.infinite(_HeadTail([], self.bd), _HeadTail([], self.bu),
                                  _HeadTail([], self.bz), tail_start=0)
 
@@ -169,18 +178,15 @@ class HomogeneousSpec:
 class StructuredMatrix:
     """A validated matrix with an entry accessor.
 
-    Immutable after validation; safe for concurrent readers.
+    ``band`` holds the spec's rates (a homogeneous spec's ``as_band()``), and
+    ``stencil`` reads B's entries from them.  Immutable after validation;
+    safe for concurrent readers.
     """
 
     def __init__(self, spec):
         self.spec = spec
+        self.band = spec.as_band() if isinstance(spec, HomogeneousSpec) else spec
         self.validated = False
-        self._special = isinstance(spec, HomogeneousSpec) and spec.truncation == "special" \
-            and spec.is_finite
-        self._gamma_boundary = None
-        if self._special:
-            from .homogeneous import hom_constants  # local import: avoid cycle at module load
-            self._gamma_boundary = hom_constants(spec).gamma
 
     # -- extent ----------------------------------------------------------
     @property
@@ -193,34 +199,16 @@ class StructuredMatrix:
 
     @property
     def size(self) -> Optional[int]:
-        return self.spec.size if isinstance(self.spec, BandSpec) else (
-            None if self.spec.last is None else self.spec.last + 1)
+        return self.band.size
 
     # -- rate access -----------------------------------------------------
     def band_rates(self, hi: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bd, bu, bz) arrays for indices lo..hi; uniform over spec kinds."""
-        spec = self.spec
-        if isinstance(spec, BandSpec):
-            return spec.rates(hi, lo)
-        if spec.is_finite and hi > spec.last:
-            raise OutOfRange(f"index {hi} beyond final index {spec.last}")
-        n = hi + 1 - lo
-        bd = np.full(n, spec.bd)
-        bu = np.full(n, spec.bu)
-        bz = np.full(n, spec.bz)
-        if spec.is_finite and hi == spec.last:
-            bu[-1] = 0.0
-        return bd, bu, bz
+        return self.band.rates(hi, lo)
 
     def _rate(self, which: str, i: int) -> float:
-        spec = self.spec
-        if isinstance(spec, HomogeneousSpec):
-            if which == "up" and spec.is_finite and i == spec.last:
-                return 0.0
-            return getattr(spec, {"down": "bd", "up": "bu", "tozero": "bz"}[which])
-        if spec.is_finite:
-            return float(np.asarray(getattr(spec, which))[i])
-        return float(getattr(spec, which)(i))
+        rule = getattr(self.band, which)
+        return float(np.asarray(rule)[i]) if self.is_finite else float(rule(i))
 
     def bd(self, i: int) -> float:
         return self._rate("down", i)
@@ -235,48 +223,30 @@ class StructuredMatrix:
         return self.bz(i) + self.bd(i) + self.bu(i)
 
     # -- entries ----------------------------------------------------------
+    def stencil(self, hi: int, lo: int = 0):
+        """Rows lo..hi of B as arrays (col0, sub, dia, sup): row i's entries
+        in columns 0, i - 1, i and i + 1.  Coinciding columns (row 0's
+        diagonal, row 1's subdiagonal) are merged into col0 and hold 0 in the
+        other array.  hi < lo gives empty arrays."""
+        if hi < lo:
+            return tuple(np.zeros(0) for _ in range(4))
+        bd, bu, bz = self.band_rates(hi, lo)
+        col0, sub, dia, sup = bz.copy(), bd.copy(), -(bz + bd + bu), bu.copy()
+        if lo == 0:
+            col0[0], sub[0], dia[0] = -bd[0] - bu[0], 0.0, 0.0
+        if lo <= 1 <= hi:
+            col0[1 - lo], sub[1 - lo] = bd[1 - lo] + bz[1 - lo], 0.0
+        return col0, sub, dia, sup
+
     def entry(self, i: int, j: int) -> float:
         """The (i, j) entry.  Pure: equal arguments give identical values."""
         if i < 0 or j < 0:
             raise OutOfRange(f"negative index ({i}, {j})")
         if self.is_finite and (i > self.last or j > self.last):
             raise OutOfRange(f"index ({i}, {j}) beyond final index {self.last}")
-        if self._special and i == self.last:
-            return self._special_last_row(j)
-        if i == 0:
-            if j == 0:
-                return -self.bd(0) - self.bu(0)
-            if j == 1:
-                return self.bu(0)
-            return 0.0
-        if j == 0:
-            if i == 1:
-                return self.bd(1) + self.bz(1)
-            return self.bz(i)
-        if j == i:
-            return -self.bw(i)
-        if j == i - 1:
-            return self.bd(i)
-        if j == i + 1:
-            return self.bu(i)
-        return 0.0
-
-    def _special_last_row(self, j: int) -> float:
-        # last row of the specially truncated homogeneous matrix:
-        # (bu/gamma - bd, 0, ..., 0, bd, -bu/gamma)
-        spec = self.spec
-        g = self._gamma_boundary
-        i = self.last
-        if j == i:
-            return -spec.bu / g
-        if j == i - 1 and j != 0:
-            return spec.bd
-        if j == 0:
-            v = spec.bu / g - spec.bd
-            if i == 1:
-                v += spec.bd  # subdiagonal position coincides with column 0
-            return v
-        return 0.0
+        col0, sub, dia, sup = (float(a[0]) for a in self.stencil(i, i))
+        # col0 comes last: it wins where row i's columns coincide
+        return {i - 1: sub, i + 1: sup, i: dia, 0: col0}.get(j, 0.0)
 
     def to_dense(self, n: Optional[int] = None) -> np.ndarray:
         """Leading n x n block as a dense array (full matrix if finite)."""
@@ -284,13 +254,18 @@ class StructuredMatrix:
             if not self.is_finite:
                 raise InfiniteExtent("n required for infinite extent")
             n = self.last + 1
-        out = np.zeros((n, n))
-        for i in range(n):
-            lo = max(0, i - 1)
-            cols = {0, lo, i, min(n - 1, i + 1)}
-            for j in cols:
-                out[i, j] = self.entry(i, j)
-        return out
+        return _place(np.zeros((n, n)), *self.stencil(n - 1))
+
+
+def _place(out: np.ndarray, col0, sub, dia, sup) -> np.ndarray:
+    """Write a stencil into the zero n x n array ``out``; column 0 goes last,
+    so it holds row 0's (0, 0), and no row n - 1 superdiagonal is written."""
+    r = np.arange(len(out))
+    out[r, r] = dia
+    out[r[2:], r[1:-1]] = sub[2:]
+    out[r[:-1], r[1:]] = sup[:-1]
+    out[:, :1] = col0[:, None]  # a slice, which n = 0 also has
+    return out
 
 
 def validate(spec) -> StructuredMatrix:
@@ -375,13 +350,11 @@ def decompose(m: StructuredMatrix):
     if not m.is_finite:
         raise InfiniteExtent("decomposition defined for finite matrices only")
     n = m.last + 1
+    col0, sub, dia, sup = m.stencil(n - 1)
     u = np.zeros(n)
-    for i in range(2, n):
-        u[i] = m.entry(i, 0)
-    W = np.zeros((n, n))
-    for i in range(n):
-        for j in {0, max(0, i - 1), i, min(n - 1, i + 1)}:
-            W[i, j] = u[i] * (1.0 if j == 0 else 0.0) - m.entry(i, j)
+    u[2:] = col0[2:]
+    z = u * 0.0  # u[i]*delta[j] off column 0, with its sign of zero
+    W = _place(np.zeros((n, n)), u - col0, z - sub, z - dia, z - sup)
     delta = np.zeros(n)
     delta[0] = 1.0
     return W, u, delta

@@ -17,7 +17,6 @@ or typed errors; the losses come from the updates' polynomial root step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -364,18 +363,11 @@ def multiset_gap(a, b) -> float:
 
 
 def _gershgorin(m: StructuredMatrix):
-    n = m.last + 1
-    worst = -math.inf
-    centers_ok = True
-    for i in range(n):
-        center = m.entry(i, i)
-        radius = 0.0
-        for j in {0, max(0, i - 1), min(n - 1, i + 1)}:
-            if j != i:
-                radius += abs(m.entry(i, j))
-        centers_ok = centers_ok and center < 0.0
-        worst = max(worst, center + radius)
-    return centers_ok, worst
+    """(every center < 0, max over rows of center + radius) of B's discs."""
+    col0, sub, dia, sup = m.stencil(m.last)
+    center, radius = dia.copy(), np.abs(col0) + np.abs(sub) + np.abs(sup)
+    center[0], radius[0] = col0[0], abs(sup[0])  # row 0's center is its column 0
+    return bool(np.all(center < 0.0)), float(np.max(center + radius))
 
 
 def _sign_condition(first: np.ndarray, kept) -> Optional[bool]:

@@ -109,6 +109,19 @@ class TestSteadyState:
         assert res.truncation_level is not None
         assert res.tail_bound is not None and res.tail_bound < 1e-10
 
+    def test_no_tail_bound_below_the_tail(self):
+        # the chain settles at level 128, but its mass peaks near index 400,
+        # where the declared tail starts: 2e-147 lies past 128, and the tail's
+        # gamma applied at 128 would claim 6.6e-201
+        def rule(low, mid, tail):
+            return lambda i: low if i < 100 else (mid if i < 400 else tail)
+
+        Q = BandSpec.infinite(lambda i: 0.0 if i == 0 else 1.0 if i < 400 else 2.0,
+                              rule(0.01, 1.5, 1.0), lambda i: 0.0, tail_start=400)
+        res = steady_state(Q)
+        assert res.truncation_level == 128
+        assert res.tail_bound is None
+
 
 class TestSteadyStateStableSweep:
     """steady_state reads gamma from the stable backward sweep alone."""

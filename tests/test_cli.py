@@ -71,7 +71,7 @@ class TestInvertCommand:
             return audit(view, n)
 
         for module in (general, homogeneous):
-            monkeypatch.setattr(module, "block_residual", counted)
+            monkeypatch.setattr(module, "block_residual", counted, raising=False)
         assert main(["invert", write(tmp_path, doc), "--n", str(n)]) == 0
         resid = [l for l in capsys.readouterr().out.splitlines() if l.startswith("residual")]
         assert len(calls) == audits and len(resid) == 1

@@ -234,3 +234,77 @@ class TestGeometricLaws:
         view = hom_invert(spec, n=40)
         from tricol.general import block_residual
         assert block_residual(view, 40) < 1e-12
+
+
+def _special_cases():
+    """The worked special truncation plus seeded random ones, last in 1..30;
+    (3, 1, 0) has bz = 0 and bu < bd, where bz[last] = bu/gamma - bd is 0."""
+    rng = np.random.default_rng(29)
+    cases = [(2, 1, 1, 5), (3.0, 1.0, 0.0, 7)]
+    for _ in range(5):
+        bd, bu = rng.uniform(0.3, 2.5, 2)
+        cases.append((bd, bu, rng.uniform(0.0, 1.5), int(rng.integers(1, 31))))
+    return cases
+
+
+class TestSpecialTruncationIsItsBand:
+    """Every solver reads the special truncation's last row from the rates."""
+
+    @pytest.fixture(params=_special_cases(), ids=lambda c: "bd{:.3g}-bu{:.3g}-bz{:.3g}-l{}".format(*c))
+    def case(self, request):
+        bd, bu, bz, last = request.param
+        m = validate(HomogeneousSpec(bd, bu, bz, last=last, truncation="special"))
+        return m, np.linalg.inv(m.to_dense())
+
+    def test_last_row_is_a_rate_row(self, case):
+        m, _ = case
+        spec = m.spec
+        bd, bu, bz = m.band_rates(m.last)
+        g = hom_constants(spec).gamma
+        assert bu[-1] == 0.0 and bd[-1] == spec.bd
+        assert bz[-1] == max(spec.bu / g - spec.bd, 0.0) >= 0.0
+        assert m.entry(m.last, m.last) == pytest.approx(-spec.bu / g, rel=4e-16)
+
+    def test_invert_matches_dense_lu(self, case):
+        m, C = case
+        view = general_invert(m)
+        assert view.report.residual <= 1e-12
+        assert np.max(np.abs(view.block() - C)) <= 1e-12
+
+    def test_row0_ratios_match_dense_lu(self, case):
+        from tricol.general import gamma1, gamma_table
+        m, C = case
+        assert abs(gamma1(m) - C[0, 1] / C[0, 0]) <= 1e-12
+        assert np.max(np.abs(gamma_table(m, m.last).gamma - C[0] / C[0, 0])) <= 1e-12
+
+    def test_element_matches_dense_lu(self, case):
+        from tricol.general import InverseView
+        m, C = case
+        view = InverseView(m)
+        for i, j in {(m.last, m.last), (0, 1), (m.last, 1), (1, m.last), (m.last // 2, 0)}:
+            assert abs(view.element(i, j) - C[i, j]) <= 1e-12
+
+    def test_cli_element_matches_dense_lu(self, case, tmp_path, capsys):
+        import json
+        from tricol.cli import main
+        m, C = case
+        spec = m.spec
+        doc = {"extent": "finite", "l": m.last, "truncation": "special",
+               "homogeneous": {"bd": spec.bd, "bu": spec.bu, "bz": spec.bz}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        for i, j in ((0, 1), (m.last, m.last)):
+            assert main(["--exact", "element", str(path), str(i), str(j)]) == 0
+            value, resid = (float(line.split()[-1])
+                            for line in capsys.readouterr().out.splitlines())
+            assert abs(value - C[i, j]) <= 1e-12 and resid <= 1e-12
+
+    def test_general_inverse_is_the_closed_form(self, case):
+        # the paper's claim: under the special truncation the finite inverse
+        # is the infinite matrix's leading block
+        m, _ = case
+        spec = m.spec
+        C = general_invert(m).block()
+        want = hom_block(HomogeneousSpec(spec.bd, spec.bu, spec.bz), m.last + 1)[0]
+        assert np.max(np.abs(C - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(hom_finite_invert(spec).block(), C)

@@ -275,3 +275,61 @@ def test_rates_read_range_rules_in_one_call():
     bd, bu, bz = spec.rates(300, 5)
     assert Counted.calls == 3
     assert bd.tolist() == [1.0] * 296 and bz.tolist() == [0.1] * 296
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def stencil_cases(draw):
+    """(matrix, rates over 0..hi + 1, hi, lo): finite bands with planted
+    zeros, infinite periodic bands, and special-truncation homogeneous bands."""
+    rate = st.sampled_from([0.0, 0.25, 1.0, 1.5, 3.0])
+    kind = draw(st.sampled_from(["finite", "infinite", "special"]))
+    if kind == "special":
+        bd, bu = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+        m = validate(HomogeneousSpec(bd, bu, draw(rate), last=draw(st.integers(1, 9))))
+    else:
+        n = draw(st.integers(1, 10))
+        bd, bu, bz = (np.array(draw(st.lists(rate, min_size=n, max_size=n))) for _ in range(3))
+        bd[0] = max(bd[0], 0.5)
+        if kind == "finite":
+            bu[-1] = 0.0
+        bz[(bd + bu + bz == 0.0) & (np.arange(n) > 0)] = 1.0
+        if kind == "finite":
+            m = validate(BandSpec.finite(bd, bu, bz))
+        else:
+            m = validate(BandSpec.infinite(*(lambda i, a=a: float(a[i % n]) for a in (bd, bu, bz))))
+    top = 10 if m.last is None else m.last
+    lo = draw(st.integers(0, top + 1))
+    hi = draw(st.integers(lo - 2, top))  # hi < lo: no rows
+    rates = [np.asarray(a, dtype=float)
+             for a in m.band_rates(m.last if m.is_finite else max(hi + 1, 0))]
+    return m, rates, hi, lo
+
+
+@given(stencil_cases())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_stencil_reads_build_dense_rows(case):
+    m, rates, hi, lo = case
+    B = build_dense(*rates)  # rows 0..hi, with row hi's superdiagonal in range
+    got = m.stencil(hi, lo)
+    rows = range(lo, hi + 1)
+    want = ([B[i, 0] for i in rows],
+            [B[i, i - 1] if i >= 2 else 0.0 for i in rows],
+            [B[i, i] if i >= 1 else 0.0 for i in rows],
+            [B[i, i + 1] if i + 1 < len(B) else 0.0 for i in rows])
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+    if not m.is_finite:
+        n = max(hi + 1, 0)
+        assert _bits(m.to_dense(n)) == _bits(B[:n, :n])
+        return
+    assert _bits(m.to_dense()) == _bits(B)
+    assert all(m.entry(i, j) == B[i, j] for i in range(len(B)) for j in range(len(B)))
+    W, u, delta = decompose(m)
+    want_u = np.r_[0.0, 0.0, B[2:, 0]][: len(B)]
+    assert _bits(u) == _bits(want_u)
+    assert _bits(W) == _bits(np.outer(want_u, delta) - B)
+    assert _bits(np.outer(u, delta) - W) == _bits(B)
