@@ -39,7 +39,7 @@ from .general import (
 )
 from .homogeneous import _hom_generators, hom_constants
 from .model import (BandSpec, HomogeneousSpec, StructuredMatrix, _check_nonnegative,
-                    _HeadTail, _RangeRule, _realize, validate)
+                    _HeadTail, _matvec, _RangeRule, _realize, _rmatvec, validate)
 
 
 @dataclass
@@ -47,8 +47,9 @@ class StationaryResult:
     """Stationary vector with its self-checks."""
 
     pi: np.ndarray
-    residual: float                 # max |pi Q| over computed columns: an absolute
-                                    # backward error, no bound on the error in pi
+    residual: float                 # max |pi Q| by model._rmatvec over every column of a
+                                    # finite chain, columns 1..L-1 of an infinite one (pi
+                                    # over 0..L): a backward error, no bound on pi's error
     truncation_level: Optional[int] = None
     tail_bound: Optional[float] = None
 
@@ -58,7 +59,7 @@ class ValueResult:
     """Discounted value function with its residual."""
 
     values: np.ndarray
-    residual: float                 # max |alpha V - c - Q V|
+    residual: float                 # max |alpha V - c - Q V|, QV from model._matvec
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,8 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
     if m.is_finite:
         window = _window(m, m.last)
         gam = _gamma_sweep(*window, _bu_horizon(window[1], m.last))
-        return _normalize_pi(Q, gam, None, tol, window)
+        # Q's own rates: B's window with Q's qd, whose qd[0] is 0, not the shift's 1
+        return _normalize_pi(Q, gam, None, tol, (np.asarray(Q.down, dtype=float), *window[1:]))
     win = _Window(m)  # one realization of each index for every sweep below
     level, sweep = general.LEVEL0, 2 * general.LEVEL0
     prev = prev_total = None
@@ -172,34 +174,21 @@ def steady_state(Q: BandSpec | np.ndarray, tol: float = 1e-12) -> StationaryResu
     raise NoConvergence(f"row-0 ratios did not stabilize by level {general.MAX_LEVEL}")
 
 
-def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window=None) -> StationaryResult:
+def _normalize_pi(Q: BandSpec, gam: np.ndarray, level, tol, window) -> StationaryResult:
     """pi = gam / sum(gam) and max |pi Q| over the columns pi fixes.
 
-    ``window`` is (qd, qu, qz) over gam's indices: the shifted
-    matrix's rates as ``steady_state`` realized them or, when None, a finite
-    Q's own.  The shift changes only qd[0], which no column reads: column 0
-    takes qd[0] + qu[0] as qu[0] (``_check_generator`` makes qd[0] = 0).
+    ``window`` is (qd, qu, qz) over gam's indices: a finite Q's own rates,
+    or the rates of the shifted B = Q - delta' delta as ``steady_state``
+    realized them.  There pi Q = pi B + pi_0 delta differs from pi B only in
+    column 0, which an infinite window leaves out.
     """
     total = float(np.sum(gam))
     if not math.isfinite(total) or total <= 0.0:
         raise NotNormalizable(f"total mass {total}")
     pi = gam / total
-    n = len(pi)
-    qd, qu, qz = Q.rates(Q.last) if window is None else window
-    worst = 0.0
-    if Q.is_finite:
-        # column 0 of pi Q
-        col0 = -qu[0] * pi[0]
-        if n > 1:
-            col0 += (qd[1] + qz[1]) * pi[1] + float(np.dot(qz[2:n], pi[2:n]))
-        worst = abs(col0)
-    # columns j = 1..hi-1: qu[j-1] pi[j-1] - qw[j] pi[j] + qd[j+1] pi[j+1]
-    hi = n if Q.is_finite else n - 1
-    qw = qd[1:hi] + qu[1:hi] + qz[1:hi]
-    v = qu[: hi - 1] * pi[: hi - 1] - qw * pi[1:hi]
-    k = min(hi, n - 1) - 1          # columns whose j + 1 is in range
-    v[:k] += qd[2: k + 2] * pi[2: k + 2]
-    worst = float(np.max(np.abs(v), initial=worst))
+    piQ = _rmatvec(window, pi)
+    cols = piQ if Q.is_finite else piQ[1:-1]
+    worst = float(np.max(np.abs(cols, out=cols), initial=0.0))
     return StationaryResult(pi=pi, residual=worst, truncation_level=level)
 
 
@@ -236,20 +225,13 @@ def absorbing_bd_spec(bd: float, bu: float, bz: float,
         raise ShapeMismatch(f"unknown shape {shape!r}")
     if bd <= 0.0 or bu <= 0.0 or bz < 0.0:
         raise ShapeMismatch("need bd > 0, bu > 0, bz >= 0")
-    bd1 = 0.0 if shape == "absorbing" else bd
-    if last is not None:
-        n = last + 1
-        down = np.full(n, bd)
-        if n > 1:
-            down[1] = bd1
-        up = np.full(n, bu)
-        up[0] = 0.0
-        up[-1] = 0.0
-        toz = np.full(n, bz)
-        toz[0] = 0.0
-        return BandSpec.finite(down, up, toz)
-    return BandSpec.infinite(_HeadTail([bd, bd1], bd), _HeadTail([0.0], bu),
-                             _HeadTail([0.0], bz), tail_start=2)
+    rules = (_HeadTail([bd, 0.0 if shape == "absorbing" else bd], bd),
+             _HeadTail([0.0], bu), _HeadTail([0.0], bz))
+    if last is None:
+        return BandSpec.infinite(*rules, tail_start=2)
+    down, up, toz = (rule.range(0, last) for rule in rules)
+    up[-1] = 0.0
+    return BandSpec.finite(down, up, toz)
 
 
 def absorbing_bd_invert(bd: float, bu: float, bz: float,
@@ -274,9 +256,13 @@ def absorbing_bd_invert(bd: float, bu: float, bz: float,
 
 
 def absorbing_c11(bd: float, bu: float, bz: float, shape: str = "absorbing") -> float:
-    """The (1,1) inverse entry of the absorbing chain."""
+    """The (1,1) inverse entry of the absorbing chain; SingularMatrix for the
+    "absorbing" shape with bz = 0 and bu <= bd, whose states 1, 2, ... form
+    a closed recurrent class (the denominator is 0, whatever it rounds to)."""
     g = hom_constants(HomogeneousSpec(bd=bd, bu=bu, bz=bz)).gamma
     if shape == "absorbing":
+        if bz == 0.0 and bu <= bd:
+            raise SingularMatrix(f"bz = 0 and bu = {bu} <= bd = {bd}: states 1, 2, ... recur")
         return 1.0 / (-bz - bu + bd * g)
     if shape == "original":
         return 1.0 / (bd * g - (bz + bd + bu))
@@ -345,8 +331,6 @@ def _value_band_column(qd, qu, qz, c, alpha) -> np.ndarray:
 
 
 def _bellman_residual(qd, qu, qz, V, c, alpha) -> float:
-    qv = -(qd + qu + qz) * V
-    qv[0] = -(qd[0] + qu[0]) * V[0]
-    qv[1:] += qz[1:] * V[0] + qd[1:] * V[:-1]   # row 1's subdiagonal is column 0
-    qv[:-1] += qu[:-1] * V[1:]
-    return float(np.max(np.abs(alpha * V - c - qv)))
+    r = alpha * V - c
+    r -= _matvec((qd, qu, qz), V)  # qd[0] = 0: the product is Q's
+    return float(np.max(np.abs(r, out=r)))

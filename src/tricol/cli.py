@@ -109,13 +109,12 @@ def _cmd_element(args, fmt) -> int:
     i, j = args.i, args.j
     value = view.element(i, j)  # materializes the generators only as far as needed
     print(f"c({i},{j}) = {fmt(value)}")
-    # residual of the defining equation sum_k B(i,k) c(k,j) = delta_ij
-    cols = {0, max(0, i - 1), i}
-    if not (m.is_finite and i == m.last):
-        cols.add(i + 1)
-    acc = -(1.0 if i == j else 0.0)
-    for k in sorted(cols):
-        acc += m.entry(i, k) * view.element(k, j)
+    # residual of the defining equation sum_k B(i,k) c(k,j) = delta_ij: row i
+    # of B is e_i'B over columns 0..i+1, and c(k, j) is read where it is nonzero
+    hi = i + 1 if m.last is None else min(i + 1, m.last)
+    row = model._rmatvec(m.band_rates(hi), np.eye(1, hi + 1, i)[0])
+    cols = np.flatnonzero(row)
+    acc = row[cols] @ np.array([view.element(k, j) for k in cols]) - (i == j)
     print(f"equation-residual {fmt(abs(acc))}")
     return 0
 

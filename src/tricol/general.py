@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     ZeroDenominator,
 )
-from .model import StructuredMatrix, _check_rates
+from .model import StructuredMatrix, _check_rates, _matvec
 
 #: Adaptive truncation schedule for infinite extent.
 LEVEL0 = 64
@@ -59,6 +59,8 @@ _BLOCK_SCALE = 0.19
 #: Relative gap between a block's exact end surplus and the composite start
 #: value of the block below beyond which the scalar loop redoes the blocks.
 _BLOCK_MISMATCH = 1e-13
+#: An under-diagonal pivot at most this size has vanished: 1/pivot overflows.
+_TINY_PIVOT = 2.0 ** -1024
 
 
 @dataclass
@@ -534,7 +536,7 @@ class _Engine:
             ur = up[r]
             h = z[r] + ur * h / dd
             dd = d_un[r] = d[r] + h
-            if dd <= 0.0:
+            if dd <= _TINY_PIVOT:
                 raise ShiftUnresolvable(r, f"under-diagonal pivot vanished at row {r}")
             b_un[r] = (d[r] if r >= 2 else 0.0) / dd
             aa = a2[r] = (z[r] + (d[1] if r == 1 else 0.0) + ur * aa) / dd
@@ -737,8 +739,8 @@ def block_residual(view: InverseView, n: Optional[int] = None) -> float:
 
     Rows 0..n-2 couple only in-block entries; the final row is included only
     when the block covers a whole finite matrix.  A NaN anywhere in the
-    product makes the residual NaN.  The product is formed in row chunks, so
-    the exported block is the only n x n array.
+    product makes the residual NaN.  The product is ``_matvec``'s, formed in
+    row chunks, so the exported block is the only n x n array.
     """
     if n is None:
         n = view.n
@@ -746,17 +748,13 @@ def block_residual(view: InverseView, n: Optional[int] = None) -> float:
     C = view.block(n)
     full = m.is_finite and n == m.last + 1
     rows = n if full else n - 1
-    col0, sub, dia, sup = m.stencil(rows - 1)  # sup is read for rows 0..n-2 only
+    rates = m.band_rates(rows - 1)
     worst = 0.0
-    step = max(1, (1 << 16) // n)  # rows per chunk: 512 KiB temporaries
+    step = max(1, (1 << 16) // n)  # rows per chunk: 512 KiB buffers
+    buf = np.empty((step, n))  # one product buffer for every chunk
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        prod = np.multiply.outer(col0[lo:hi], C[0])
-        prod += dia[lo:hi, None] * C[lo:hi]
-        a = max(lo, 1)
-        prod[a - lo:] += sub[a:hi, None] * C[a - 1:hi - 1]
-        b = min(hi, n - 1)
-        prod[:b - lo] += sup[lo:b, None] * C[lo + 1:b + 1]
+        prod = _matvec([r[lo:hi] for r in rates], C, lo, out=buf[:hi - lo])
         prod[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
-        worst = np.maximum(worst, np.max(np.abs(prod)))
+        worst = np.maximum(worst, np.max(np.abs(prod, out=prod)))
     return float(worst)

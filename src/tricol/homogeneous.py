@@ -192,10 +192,11 @@ def hom_finite_invert(spec: HomogeneousSpec, tol: float = 1e-12) -> InverseView:
 
 
 def hom_invert(spec: HomogeneousSpec, n: int, tol: float = 1e-12) -> InverseView:
-    """Leading n x n inverse block of an infinite homogeneous matrix."""
-    if spec.is_finite:
-        return hom_finite_invert(spec, tol=tol)
+    """Leading n x n inverse block: the closed forms for an infinite spec,
+    the general algorithm for a finite one."""
     m = validate(spec)
+    if spec.is_finite:
+        return general_invert(m, n=n, tol=tol)
     t0 = time.perf_counter()
     view = InverseView.from_generators(m, tol, *_hom_generators(spec, n))
     view.report.seconds += time.perf_counter() - t0

@@ -9,7 +9,14 @@ the entry there is ``bd[1] + bz[1]``).  The weights satisfy
 to zero and row 0 sums to ``-bd[0]``.  Finite matrices additionally treat
 ``bu[last]`` as zero so the final row also sums to zero.  Every matrix is
 held as its rates (a homogeneous spec as its ``as_band()``, the special
-truncation included), and ``StructuredMatrix.stencil`` lays out B from them.
+truncation included), and ``_stencil`` lays out B from them; no other
+module knows where B's entries sit.  Every residual the library reports is
+a product that reads ``_stencil`` a block of rows at a time, B x
+(``_matvec``) or y'B (``_rmatvec``), Q's when bd[0] = 0: ``block_residual``
+(rows 0..n - 2 of BC - I, row n - 1 too for a whole finite matrix), pi Q
+(every column of a finite chain, columns 1..L - 1 of an infinite window
+over 0..L), the Bellman alpha V - c - QV (every row) and the CLI's
+equation residual of one entry.
 """
 
 from __future__ import annotations
@@ -224,19 +231,11 @@ class StructuredMatrix:
 
     # -- entries ----------------------------------------------------------
     def stencil(self, hi: int, lo: int = 0):
-        """Rows lo..hi of B as arrays (col0, sub, dia, sup): row i's entries
-        in columns 0, i - 1, i and i + 1.  Coinciding columns (row 0's
-        diagonal, row 1's subdiagonal) are merged into col0 and hold 0 in the
-        other array.  hi < lo gives empty arrays."""
+        """Rows lo..hi of B as ``_stencil`` lays them out; hi < lo gives
+        empty arrays."""
         if hi < lo:
             return tuple(np.zeros(0) for _ in range(4))
-        bd, bu, bz = self.band_rates(hi, lo)
-        col0, sub, dia, sup = bz.copy(), bd.copy(), -(bz + bd + bu), bu.copy()
-        if lo == 0:
-            col0[0], sub[0], dia[0] = -bd[0] - bu[0], 0.0, 0.0
-        if lo <= 1 <= hi:
-            col0[1 - lo], sub[1 - lo] = bd[1 - lo] + bz[1 - lo], 0.0
-        return col0, sub, dia, sup
+        return _stencil(*self.band_rates(hi, lo), lo)
 
     def entry(self, i: int, j: int) -> float:
         """The (i, j) entry.  Pure: equal arguments give identical values."""
@@ -255,6 +254,60 @@ class StructuredMatrix:
                 raise InfiniteExtent("n required for infinite extent")
             n = self.last + 1
         return _place(np.zeros((n, n)), *self.stencil(n - 1))
+
+
+def _stencil(bd, bu, bz, lo: int = 0):
+    """Rows lo.. of B from rate arrays over those rows, as arrays (col0, sub,
+    dia, sup): row i's entries in columns 0, i - 1, i and i + 1.  Coinciding
+    columns (row 0's diagonal, row 1's subdiagonal) are merged into col0 and
+    hold 0 in the other array.  ``sup`` is ``bu`` itself, not a copy."""
+    col0, sub, dia, sup = bz.copy(), bd.copy(), -(bz + bd + bu), bu
+    if lo == 0:
+        col0[0], sub[0], dia[0] = -bd[0] - bu[0], 0.0, 0.0
+    if lo <= 1 < lo + len(bd):
+        col0[1 - lo], sub[1 - lo] = bd[1 - lo] + bz[1 - lo], 0.0
+    return col0, sub, dia, sup
+
+
+#: Rows of B per block of a product: its temporaries stay small at any size.
+_ROWS = 8192
+
+
+def _matvec(rates, x, lo: int = 0, out=None) -> np.ndarray:
+    """Rows lo.. of B x into ``out`` (or a new array), for rates (bd, bu, bz)
+    over those rows and x over 0..len(x) - 1, a vector or a matrix of column
+    vectors that reads as zero past its end.  Each row sums its ``_stencil``
+    terms in the order col0, dia, sub, sup."""
+    k = len(rates[0])
+    out = np.empty((k,) + x.shape[1:]) if out is None else out
+    tmp = np.empty((min(k, _ROWS),) + x.shape[1:])  # the band terms' scratch
+    for a in range(0, k, _ROWS):
+        i, j = lo + a, lo + min(a + _ROWS, k)  # the block's rows of B
+        col0, sub, dia, sup = (s.reshape(s.shape + (1,) * (x.ndim - 1))
+                               for s in _stencil(*(r[a:j - lo] for r in rates), i))
+        o, t, f, e = out[a:j - lo], tmp[:j - i], max(i, 1) - i, min(j, len(x) - 1) - i
+        np.multiply(col0, x[0], out=o)
+        o += np.multiply(dia, x[i:j], out=t)
+        o[f:] += np.multiply(sub[f:], x[i + f - 1:j - 1], out=t[f:])  # row 0 has no sub
+        o[:e] += np.multiply(sup[:e], x[i + 1:i + e + 1], out=t[:e])
+    return out
+
+
+def _rmatvec(rates, y) -> np.ndarray:
+    """y'B over columns 0..k - 1, for rates (bd, bu, bz) and y over rows
+    0..k - 1; on a window of an infinite matrix column k - 1 lacks row k's
+    term and column 0 the rows past k - 1."""
+    k = len(y)
+    out = np.zeros(k)
+    for a in range(0, k, _ROWS):
+        b = min(a + _ROWS, k)
+        col0, sub, dia, sup = _stencil(*(r[a:b] for r in rates), a)
+        ya, f, e = y[a:b], max(a, 1) - a, min(b, k - 1) - a
+        out[a:b] += ya * dia
+        out[a + 1:a + e + 1] += ya[:e] * sup[:e]
+        out[a + f - 1:b - 1] += ya[f:] * sub[f:]
+        out[0] += col0 @ ya
+    return out
 
 
 def _place(out: np.ndarray, col0, sub, dia, sup) -> np.ndarray:

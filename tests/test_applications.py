@@ -28,6 +28,7 @@ from tricol.errors import (
     NotNormalizable,
     NumericalError,
     ShapeMismatch,
+    ShiftUnresolvable,
     SingularMatrix,
     ValidationError,
 )
@@ -359,6 +360,39 @@ class TestAbsorbingBD:
             absorbing_bd_invert(1.0, 1.0, 1.0, n=4, shape="sideways")
 
 
+class TestAbsorbingSingular:
+    """The infinite "absorbing" chain with bz = 0 and bu <= bd is singular:
+    states 1, 2, ... form a closed recurrent class."""
+
+    @pytest.mark.parametrize("rates", [
+        (1, 0.5, 0), (1.0, 1.0, 0.0),
+        tuple(np.float64(x) for x in (1.0, 0.5, 0.0)),
+        (3.956781706694549, 0.9772291239113605, 0),  # the denominator rounds to 1.1e-16
+    ])
+    def test_closed_form_raises(self, rates):
+        with pytest.raises(SingularMatrix):
+            absorbing_c11(*rates)
+        with pytest.raises(SingularMatrix):
+            absorbing_bd_invert(*rates, n=4)
+
+    def test_original_shape_and_transient_chain_stay_regular(self):
+        assert np.isfinite(absorbing_c11(1.0, 0.5, 0.0, shape="original"))
+        assert np.isfinite(absorbing_c11(0.5, 1.0, 0.0))
+
+    def test_general_route_fails_typed(self):
+        # at level L the pivot d_un[1] is 2^-(L+1): at L = 1024, 1/pivot overflows
+        with pytest.raises(ShiftUnresolvable, match="vanished at row 1"):
+            invert(validate(absorbing_bd_spec(1, 0.5, 0)), n=4)
+
+
+class TestStationaryColumnZero:
+    def test_small_up_rate_is_not_rounded_away(self):
+        # pi Q's column 0 is -qu[0]*pi[0] + qd[1]*pi[1] = 0, not qd[1]*pi[1] = 1e-20
+        res = steady_state(BandSpec.finite([0.0, 1.0], [1e-20, 0.0], [0.0, 0.0]))
+        assert res.pi[1] == pytest.approx(1e-20, rel=1e-15)
+        assert res.residual <= 1e-30
+
+
 class TestValueFunction:
     def test_zero_cost(self, rng):
         Q = random_generator(rng, 8, band_only=True)
@@ -476,7 +510,7 @@ class TestResidualsPropagateNaN:
         gam = steady_state(Q).pi
         qd = Q.down.copy()
         qd[4] = np.nan
-        res = _normalize_pi(BandSpec.finite(qd, Q.up, Q.tozero), gam, None, 1e-12)
+        res = _normalize_pi(Q, gam, None, 1e-12, (qd, Q.up, Q.tozero))
         assert np.isnan(res.residual)
 
     def test_bellman_residual(self, rng):

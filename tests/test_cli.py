@@ -141,6 +141,12 @@ class TestAbsorbingCommand:
         first_row = out.splitlines()[0].split()
         assert first_row[1:] == ["0", "0", "0"]
 
+    def test_singular_chain_exits_3(self, capsys):
+        assert main(["absorbing-bd", "--bd", "1", "--bu", "0.5", "--bz", "0",
+                     "--n", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error") and "Traceback" not in err
+
 
 class TestEigenCommand:
     def test_worked_with_oracle(self, tmp_path, capsys):

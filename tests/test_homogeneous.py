@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tricol.errors import DegenerateRates, ZeroDiscriminant
+from tricol.errors import DegenerateRates, OutOfRange, ZeroDiscriminant
 from tricol.general import invert as general_invert
 from tricol.homogeneous import (
     DiagonalCache,
@@ -208,6 +208,20 @@ class TestFiniteInvert:
             Ca = hom_finite_invert(spec).block()
             Cb = general_invert(mg).block()
             assert np.max(np.abs(Ca - Cb)) < 1e-10
+
+
+class TestHomInvertFinite:
+    """hom_invert(spec, n) on a finite spec is the leading n x n block."""
+
+    def test_leading_block(self):
+        spec = HomogeneousSpec(2, 1, 1, last=9)
+        view = hom_invert(spec, n=3)
+        assert view.n == 3 and view.block().shape == (3, 3)
+        assert np.array_equal(view.block(), hom_finite_invert(spec).block()[:3, :3])
+
+    def test_block_past_the_matrix_raises(self):
+        with pytest.raises(OutOfRange):
+            hom_invert(HomogeneousSpec(2, 1, 1, last=9), n=11)
 
 
 class TestGeometricLaws:

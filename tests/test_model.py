@@ -12,6 +12,7 @@ from tricol.errors import (
     ValidationError,
     ZeroRowWeight,
 )
+from tricol import model
 from tricol.general import invert
 from tricol.homogeneous import hom_invert
 from tricol.model import (
@@ -19,6 +20,8 @@ from tricol.model import (
     HomogeneousSpec,
     _HeadTail,
     _RangeRule,
+    _matvec,
+    _rmatvec,
     decompose,
     from_dict,
     generator_from_dict,
@@ -333,3 +336,35 @@ def test_stencil_reads_build_dense_rows(case):
     assert _bits(u) == _bits(want_u)
     assert _bits(W) == _bits(np.outer(want_u, delta) - B)
     assert _bits(np.outer(u, delta) - W) == _bits(B)
+
+
+def _near(got, want, scale):
+    """got == want up to rounding: 8 ulps of the sum of |terms|."""
+    return got.shape == want.shape and np.all(np.abs(got - want) <= 8e-16 * scale)
+
+
+@given(stencil_cases(), st.sampled_from([(), (1,), (3,)]), st.sampled_from([1, 2, 3, 8192]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_products_match_dense(case, shape, rows, short, seed):
+    """B x and y'B of the products against the dense B built from the rates,
+    a few rows at a time or in one block."""
+    m, rates, hi, lo = case
+    B = build_dense(*rates)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((len(B),) + shape)
+    if short and hi + 1 >= lo:
+        x = x[: hi + 1]  # row hi's sup term reads past x's end: zero
+    saved, model._ROWS = model._ROWS, rows
+    try:
+        got = _matvec([r[lo: hi + 1] for r in rates], x, lo)
+        k = hi + 1
+        y = rng.standard_normal(max(k, 0))
+        got_t = _rmatvec([r[:k] for r in rates], y) if k > 0 else None
+    finally:
+        model._ROWS = saved
+    Bx = B[lo: hi + 1, : len(x)]
+    assert _near(got, Bx @ x, np.abs(Bx) @ np.abs(x))
+    if k > 0:
+        Bk = B[:k, :k]  # column k - 1 lacks row k's term, column 0 the rows past k - 1
+        assert _near(got_t, y @ Bk, np.abs(y) @ np.abs(Bk))
