@@ -258,14 +258,17 @@ def absorbing_bd_invert(bd: float, bu: float, bz: float,
 def absorbing_c11(bd: float, bu: float, bz: float, shape: str = "absorbing") -> float:
     """The (1,1) inverse entry of the absorbing chain; SingularMatrix for the
     "absorbing" shape with bz = 0 and bu <= bd, whose states 1, 2, ... form
-    a closed recurrent class (the denominator is 0, whatever it rounds to)."""
-    g = hom_constants(HomogeneousSpec(bd=bd, bu=bu, bz=bz)).gamma
+    a closed recurrent class (the denominator is 0, whatever it rounds to).
+    With t = (bd - bu) - bz and r = sqrt(disc) it is 2 / (t - r), for t >= 0
+    without cancellation as -(t + r) / (2 bd bz), or -2 / (bw + r) ("original")."""
+    r = math.sqrt(hom_constants(HomogeneousSpec(bd=bd, bu=bu, bz=bz)).disc)
+    t = (bd - bu) - bz
     if shape == "absorbing":
         if bz == 0.0 and bu <= bd:
             raise SingularMatrix(f"bz = 0 and bu = {bu} <= bd = {bd}: states 1, 2, ... recur")
-        return 1.0 / (-bz - bu + bd * g)
+        return 2.0 / (t - r) if t < 0.0 else -(t + r) / (2.0 * bd * bz)
     if shape == "original":
-        return 1.0 / (bd * g - (bz + bd + bu))
+        return -2.0 / (bd + bu + bz + r)
     raise ShapeMismatch(f"unknown shape {shape!r}")
 
 

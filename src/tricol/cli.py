@@ -171,8 +171,7 @@ def _cmd_eigen(args, fmt) -> int:
           f"max-center-plus-radius {fmt(audit.max_center_plus_radius)}")
     print(f"max-real-part {fmt(audit.max_real_part)}")
     print(f"expansion-residual {fmt(audit.expansion_residual)} m {audit.m_count}")
-    print(f"alphas-all-real {audit.alphas_all_real} "
-          f"sign-condition {audit.sign_condition_holds}")
+    print(f"sign-condition {audit.sign_condition_holds}")
     if audit.oracle_gap is not None:
         print(f"oracle-gap {fmt(audit.oracle_gap)}")
     if not audit.gershgorin_ok or audit.max_real_part >= 0.0:

@@ -59,6 +59,21 @@ def random_spec(rng, n, **kw) -> BandSpec:
     return BandSpec.finite(*random_rates(rng, n, **kw))
 
 
+def staged_spectrum(m):
+    """The paper's staged form of B's spectrum, from the public functions:
+    (eigenvalues, update weights), one weight per retained coefficient."""
+    from tricol.spectral import (decompose_perturbation, eig_vectors, initial_state,
+                                 rank_one_update, solve_alpha, tridiag_eigen, tridiag_part)
+    A, u = tridiag_part(m)
+    sp = tridiag_eigen(A)
+    V, _ = eig_vectors(A, sp)
+    coeffs, kept, _, _ = decompose_perturbation(u, V)
+    st = initial_state(sp, V[0, :] * coeffs, kept=kept)
+    while st.stage < st.m_count:
+        st = rank_one_update(st, solve_alpha(st))
+    return st.lam, st.alphas
+
+
 def worked_spec() -> BandSpec:
     """The 3x3 example with inverse row 0 = (-1, -6/7, -2/7)."""
     return BandSpec.finite([1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [0.0, 1.0, 1.0])

@@ -35,7 +35,7 @@ from tricol.spectral import (
     tridiag_part,
 )
 
-from conftest import build_dense, random_rates, random_spec, worked_spec
+from conftest import build_dense, random_rates, random_spec, staged_spectrum, worked_spec
 
 
 def verdict(tag: str, ok: bool, detail: str):
@@ -168,7 +168,7 @@ def test_ac4_infinite_extent_consistency():
 
 def test_ac5_spectral_pipeline():
     rng = np.random.default_rng(55)
-    worst_real_gap = 0.0
+    worst_gap = worst_real_gap = 0.0
     n_real = n_total = 0
     sign_holds = 0
     for _ in range(100):
@@ -179,11 +179,15 @@ def test_ac5_spectral_pipeline():
         n_total += 1
         assert audit.gershgorin_ok
         assert audit.max_real_part < 0.0
+        worst_gap = max(worst_gap, audit.oracle_gap)
         if audit.sign_condition_holds:
             sign_holds += 1
-        if audit.alphas_all_real:
+        # the paper's staged form on the same spec: are all its weights real?
+        staged, alphas = staged_spectrum(m)
+        if all(abs(a.imag) <= 1e-9 * max(1.0, abs(a)) for a in alphas):
             n_real += 1
-            worst_real_gap = max(worst_real_gap, audit.oracle_gap)
+            want = np.linalg.eigvals(build_dense(spec.down, spec.up, spec.tozero))
+            worst_real_gap = max(worst_real_gap, multiset_gap(staged, want))
     # single-step rank-one updates against the dense oracle
     worst_step = 0.0
     for _ in range(100):
@@ -205,9 +209,11 @@ def test_ac5_spectral_pipeline():
         predicted = lam.copy()
         predicted[k] = predicted[k] + alpha * first[k]
         worst_step = max(worst_step, multiset_gap(predicted, np.linalg.eigvals(A1)))
-    ok = n_total >= 100 and n_real > 0 and worst_real_gap < 1e-6 and worst_step < 1e-9
+    ok = (n_total >= 100 and worst_gap <= 1e-10 and n_real > 0 and worst_real_gap < 1e-6
+          and worst_step < 1e-9)
     verdict("AC-5", ok,
-            f"{n_real}/{n_total} all-real cases, worst multiset gap {worst_real_gap:.2e}, "
+            f"worst multiset gap {worst_gap:.2e} over {n_total} cases; staged form: "
+            f"{n_real}/{n_total} all-real cases, worst gap {worst_real_gap:.2e}, "
             f"worst single-step gap {worst_step:.2e}; "
             f"sign-condition probe (reported, not gated): {sign_holds}/{n_total}")
 

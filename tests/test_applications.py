@@ -385,6 +385,40 @@ class TestAbsorbingSingular:
             invert(validate(absorbing_bd_spec(1, 0.5, 0)), n=4)
 
 
+def _c11_mp(bd, bu, bz, shape):
+    """c(1,1) = 1 / (bd gamma - bu - bz) or 1 / (bd gamma - bw) in 400 digits,
+    with gamma the smaller root of bd g^2 - bw g + bu."""
+    with mpmath.workdps(400):
+        bd, bu, bz = (mpmath.mpf(float(x)) for x in (bd, bu, bz))
+        bw = bd + bu + bz
+        g = (bw - mpmath.sqrt(bw * bw - 4 * bd * bu)) / (2 * bd)
+        return float(1 / (bd * g - (bu + bz if shape == "absorbing" else bw)))
+
+
+class TestAbsorbingC11Accuracy:
+    """c(1,1) cancels in bd gamma - bu - bz when 0 < bz << bu < bd or bu ~ bd."""
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(1301)
+        worst = 0.0
+        for k in range(400):
+            bd, bu = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            if k % 3 == 1:  # bd - bu exact, then - bz
+                bu = bd * (1.0 + rng.uniform(-1e-8, 1e-8))
+            bz = 10.0 ** (rng.uniform(-300.0, 3.0) if k % 3 != 2 else rng.uniform(-20.0, -1.0))
+            for shape in ("absorbing", "original"):
+                want = _c11_mp(bd, bu, bz, shape)
+                worst = max(worst, abs(absorbing_c11(bd, bu, bz, shape) - want) / abs(want))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("bz,want", [(1e-20, -7.530242514369774e19),
+                                         (1e-300, -7.530242514369773e299)])
+    def test_tiny_bz_is_negative(self, bz, want):
+        rates = (3.956781706694549, 0.9772291239113605, bz)
+        assert absorbing_c11(*rates) == pytest.approx(want, rel=1e-15)
+        assert absorbing_c11(*rates) == pytest.approx(_c11_mp(*rates, "absorbing"), rel=1e-15)
+
+
 class TestStationaryColumnZero:
     def test_small_up_rate_is_not_rounded_away(self):
         # pi Q's column 0 is -qu[0]*pi[0] + qd[1]*pi[1] = 0, not qd[1]*pi[1] = 1e-20

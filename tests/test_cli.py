@@ -148,12 +148,21 @@ class TestAbsorbingCommand:
         assert err.startswith("numerical error") and "Traceback" not in err
 
 
+    def test_tiny_bz_gives_negative_c11(self, capsys):
+        assert main(["absorbing-bd", "--bd", "3.956781706694549", "--bu",
+                     "0.9772291239113605", "--bz", "1e-300", "--n", "3"]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("c11-closed-form")][0]
+        assert float(line.split()[1]) == pytest.approx(-7.530242514369773e299, rel=1e-11)
+
+
 class TestEigenCommand:
     def test_worked_with_oracle(self, tmp_path, capsys):
         assert main(["eigen", write(tmp_path, WORKED), "--oracle"]) == 0
         out = capsys.readouterr().out
         assert "gershgorin ok" in out
         assert "oracle-gap" in out
+        assert "sign-condition False" in out and "alphas" not in out
         gap = float([l for l in out.splitlines()
                      if l.startswith("oracle-gap")][0].split()[1])
         assert gap < 1e-6

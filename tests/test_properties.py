@@ -1,6 +1,6 @@
 """Property tests: the generator-form inverse against dense LU and itself,
-value functions against a dense solve, and the tridiagonal eigenpairs
-against a dense eigensolver."""
+value functions against a dense solve, and the tridiagonal eigenpairs and
+B's spectrum against a dense eigensolver."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from tricol.applications import value_function
 from tricol.general import InverseView, invert
 from tricol.model import BandSpec, validate
-from tricol.spectral import eig_vectors, tridiag_eigen, tridiag_part
+from tricol.spectral import (eig_vectors, eigenvalues_of_B, multiset_gap, tridiag_eigen,
+                             tridiag_part)
 
 from conftest import build_dense
 
@@ -122,3 +123,30 @@ def test_tridiagonal_eigenpairs_match_dense(spec):
     V, first = eig_vectors(A, sp)
     assert np.max(np.abs(A @ V - V * lam)) <= 1e-12 * scale
     assert np.array_equal(first, V[0])
+
+
+@st.composite
+def spectral_specs(draw):
+    """Finite specs, n in 2..64, rates uniform over [0.5, 1.5] or log-uniform
+    over [0.1, 10], with some bz set to 0 (u sparse, slots dropped)."""
+    n = draw(st.integers(2, 64))
+    log = draw(st.booleans())
+
+    def rates():
+        if log:
+            return 10.0 ** np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        return np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+
+    bd, bu, bz = rates(), rates(), rates()
+    bu[-1] = 0.0
+    bz[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))] = 0.0
+    return BandSpec.finite(bd, bu, bz)
+
+
+@PROPERTY_SETTINGS
+@given(spectral_specs())
+def test_spectrum_of_B_matches_dense(spec):
+    # the dense B comes from the rates, not from the library's stencil
+    want = np.linalg.eigvals(build_dense(spec.down, spec.up, spec.tozero))
+    sp, _ = eigenvalues_of_B(validate(spec))
+    assert multiset_gap(sp.values, want) <= 1e-11 * float(np.max(np.abs(want)))
